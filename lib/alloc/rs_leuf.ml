@@ -115,37 +115,26 @@ let rs_leuf ~proc ~frame ~budget items =
   | Ok (m_star, times) ->
       let utils = estimated_utilizations ~frame items times in
       let sorted =
-        List.sort (fun (_, ua) (_, ub) -> Float.compare ub ua) utils
+        Array.of_list (List.sort (fun (_, ua) (_, ub) -> Float.compare ub ua) utils)
       in
+      let weights = Array.map snd sorted in
+      let order = Array.init (Array.length sorted) Fun.id in
+      let assign = Array.make (Array.length sorted) (-1) in
       let n = List.length items in
       let rec try_with m_hat =
         if m_hat > max n 1 then
           Error "Rs_leuf: could not meet the budget (internal)"
         else begin
           (* largest-estimated-utilization-first with unit capacity *)
-          let buckets = Array.make m_hat [] in
-          let loads = Array.make m_hat 0. in
-          let fits =
-            List.for_all
-              (fun ((it : Task.item), u) ->
-                let best = ref (-1) in
-                Array.iteri
-                  (fun j l ->
-                    if
-                      Rt_prelude.Float_cmp.leq (l +. u) 1.
-                      && (!best < 0 || Rt_prelude.Float_cmp.exact_lt l loads.(!best))
-                    then best := j)
-                  loads;
-                if !best < 0 then false
-                else begin
-                  buckets.(!best) <- it :: buckets.(!best);
-                  loads.(!best) <- loads.(!best) +. u;
-                  true
-                end)
-              sorted
-          in
-          if not fits then try_with (m_hat + 1)
+          Rt_partition.Ltf.pack ~weights ~cap:1. ~loads:(Array.make m_hat 0.)
+            ~accept:Rt_partition.Ltf.always ~order ~assign;
+          if Array.exists (fun j -> j < 0) assign then try_with (m_hat + 1)
           else begin
+            let buckets = Array.make m_hat [] in
+            Array.iteri
+              (fun k ((it : Task.item), _) ->
+                buckets.(assign.(k)) <- it :: buckets.(assign.(k)))
+              sorted;
             (* re-optimize speeds on every processor *)
             let energy =
               Array.fold_left

@@ -4,44 +4,28 @@ open Rt_task
 
 type algorithm = Problem.t -> Solution.t
 
-(* least-loaded processor on which weight [w] still fits, or -1; an
-   unboxed recursive scan, hoisted so the packing loop shares one static
-   closure — earliest index wins ties, like the [Array.iteri] fold the
-   original list version replaced *)
-let rec feasible_scan loads m cap w j best_j best_l =
-  if j >= m then best_j
-  else
-    let l = loads.(j) in
-    if
-      Rt_prelude.Float_cmp.leq (l +. w) cap
-      && (best_j < 0 || not (Fc.exact_le best_l l))
-    then feasible_scan loads m cap w (j + 1) j l
-    else feasible_scan loads m cap w (j + 1) best_j best_l
-
-(* The packing core on the SoA view: items are *positions* into
-   [Problem.soa], loads live in a scratch array updated in place, and the
-   partition is materialized once at the end — no per-placement bucket
-   copies or list folds. [accept loads j i] may veto the least-loaded
-   feasible processor [j] for positional item [i]. *)
+(* LTF-style packing on the SoA view through the one packer
+   ({!Rt_partition.Ltf.pack}): items are *positions* into [Problem.soa],
+   and the partition is materialized once at the end. [accept loads j i]
+   may veto the least-loaded feasible processor [j] for positional item
+   [i]. *)
 let pack_positions (p : Problem.t) ~accept (order : int array) =
   let s = Problem.soa p in
-  let cap = Problem.capacity p in
-  let m = p.m in
-  let loads = Array.make m 0. in
-  let buckets = Array.make m [] in
+  let assign = Array.make s.Problem.n (-1) in
+  Rt_partition.Ltf.pack ~weights:s.Problem.weights ~cap:(Problem.capacity p)
+    ~loads:(Array.make p.m 0.) ~accept ~order ~assign;
+  let buckets = Array.make p.m [] in
   let rejected = ref [] in
   Array.iter
     (fun i ->
-      let w = s.Problem.weights.(i) in
-      let j = feasible_scan loads m cap w 0 (-1) 0. in
-      if j >= 0 && accept loads j i then begin
+      let it = s.Problem.item_arr.(i) in
+      let j = assign.(i) in
+      if j >= 0 then
         (* lint: allow-hot-alloc-in-loop "the bucket lists are the output partition, not churn" *)
-        buckets.(j) <- s.Problem.item_arr.(i) :: buckets.(j);
-        loads.(j) <- loads.(j) +. w
-      end
+        buckets.(j) <- it :: buckets.(j)
       else
         (* lint: allow-hot-alloc-in-loop "the rejection list is the output, not churn" *)
-        rejected := s.Problem.item_arr.(i) :: !rejected)
+        rejected := it :: !rejected)
     order;
   {
     Solution.partition = Rt_partition.Partition.of_buckets buckets;
@@ -71,14 +55,12 @@ let sort_weight_desc (s : Problem.soa) order =
     order;
   order
 
-let always _ _ _ = true
-
 let ltf_reject (p : Problem.t) =
   let s = Problem.soa p in
-  pack_positions p ~accept:always s.Problem.order_weight_desc
+  pack_positions p ~accept:Rt_partition.Ltf.always s.Problem.order_weight_desc
 
 let unsorted_reject (p : Problem.t) =
-  pack_positions p ~accept:always (positions (Problem.soa p))
+  pack_positions p ~accept:Rt_partition.Ltf.always (positions (Problem.soa p))
 
 let marginal_greedy (p : Problem.t) =
   let s = Problem.soa p in
@@ -102,29 +84,6 @@ let marginal_greedy (p : Problem.t) =
   in
   pack_positions p ~accept s.Problem.order_weight_desc
 
-let random_reject rng (p : Problem.t) =
-  let cap = Problem.capacity p in
-  let items = Rt_prelude.Rng.shuffle rng p.items in
-  List.fold_left
-    (fun (partition, rejected) (it : Task.item) ->
-      let feasible =
-        List.filter
-          (fun j ->
-            Rt_prelude.Float_cmp.leq
-              (Rt_partition.Partition.load partition j +. it.weight)
-              cap)
-          (Rt_prelude.Math_util.range 0 (p.m - 1))
-      in
-      match feasible with
-      | [] -> (partition, it :: rejected)
-      | _ ->
-          let j = Rt_prelude.Rng.choice rng feasible in
-          (Rt_partition.Partition.add partition j it, rejected))
-    (Rt_partition.Partition.empty ~m:p.m, [])
-    items
-  |> fun (partition, rejected) ->
-  { Solution.partition; rejected = List.rev rejected }
-
 let total_cost (p : Problem.t) solution =
   match Solution.cost p solution with
   | Ok c -> c.Solution.total
@@ -146,7 +105,7 @@ let density_reject (p : Problem.t) =
   let s = Problem.soa p in
   let cap = Problem.capacity p in
   let pack accepted =
-    pack_positions p ~accept:always
+    pack_positions p ~accept:Rt_partition.Ltf.always
       (sort_weight_desc s (Array.of_list accepted))
   in
   let items_of positions = List.map (fun i -> s.Problem.item_arr.(i)) positions in
@@ -207,16 +166,6 @@ let density_reject (p : Problem.t) =
     | None -> solution
   in
   trim base
-
-let best_of algorithms (p : Problem.t) =
-  match algorithms with
-  | [] -> invalid_arg "Greedy.best_of: empty list"
-  | a :: rest ->
-      List.fold_left
-        (fun best alg ->
-          let s = alg p in
-          if Fc.exact_lt (total_cost p s) (total_cost p best) then s else best)
-        (a p) rest
 
 let named =
   [

@@ -19,8 +19,9 @@
       whose rejection still lowers the total cost.
     - {!unsorted_reject} — the RAND-style reference baseline (min-load
       greedy in input order, overflow rejection).
-    - {!random_reject} — fully random placement (uniform processor among
-      feasible ones, random order); the weakest baseline.
+
+    All of them place through the one LTF packer,
+    {!Rt_partition.Ltf.pack}.
 
     Marginal energies are computed against the least-loaded feasible
     processor — correct because the optimal rate is convex, so marginal
@@ -35,11 +36,6 @@ val marginal_greedy : algorithm
   [@@rt.hot "inner loop of every offline experiment sweep"]
 val density_reject : algorithm
 val unsorted_reject : algorithm
-val random_reject : Rt_prelude.Rng.t -> algorithm
-
-val best_of : algorithm list -> algorithm
-(** Run all, return the lowest total cost (ties keep the earliest).
-    @raise Invalid_argument on the empty list. *)
 
 val named : (string * algorithm) list
 (** The deterministic algorithms above, keyed by the names used in

@@ -143,26 +143,6 @@ let items_of_choices tasks idx =
       else None)
     tasks
 
-let pack_cost (p : Problem.t) tasks idx =
-  let items = items_of_choices tasks idx in
-  let part = Rt_partition.Heuristics.ltf ~m:p.Problem.m items in
-  if Rt_prelude.Float_cmp.gt (Rt_partition.Partition.makespan part) (Problem.capacity p)
-  then (part, Float.infinity)
-  else begin
-    let energy =
-      Array.fold_left
-        (fun acc l -> acc +. Problem.bucket_energy p l)
-        0.
-        (Rt_partition.Partition.loads part)
-    in
-    let penalty =
-      List.fold_left
-        (fun acc t -> acc +. (List.nth t.levels idx.(t.id)).level_penalty)
-        0. tasks
-    in
-    (part, energy +. penalty)
-  end
-
 (* dense index by task id; ids are arbitrary so map through an assoc *)
 let with_dense_ids tasks f =
   let ids = List.map (fun t -> t.id) tasks in
@@ -173,74 +153,155 @@ let with_dense_ids tasks f =
   let back = Array.of_list ids in
   f renumbered (fun i -> back.(i))
 
+(* LTF visit order over task positions: weight descending, position
+   ascending — [Task.compare_item_weight_desc] on the items a choice
+   realizes *)
+let ltf_compare weights a b =
+  let c = Float.compare weights.(b) weights.(a) in
+  if c <> 0 then c else Int.compare a b
+
 let greedy_degrade (p : Problem.t) tasks =
   with_dense_ids tasks (fun tasks back ->
-      let n = List.length tasks in
+      (* the menus as arrays, converted once: per task, its level weights
+         and penalties, the chosen level and that level's weight *)
+      let menu f =
+        Array.of_list
+          (List.map (fun t -> Array.of_list (List.map f t.levels)) tasks)
+      in
+      let lw = menu (fun l -> l.weight) in
+      let lp = menu (fun l -> l.level_penalty) in
+      let n = Array.length lw and m = p.Problem.m in
       let idx = Array.make n 0 in
-      let degradable t = idx.(t.id) < List.length t.levels - 1 in
+      let weights = Array.map (fun w -> w.(0)) lw in
+      (* the LTF visit order of [weights]. Zero-weight tasks stay in it,
+         last: they add nothing to any load, so the loads are bit-identical
+         to those of packing the positive-weight items alone *)
+      let order = Array.init n Fun.id in
+      Array.sort (ltf_compare weights) order;
+      let probe = Array.copy order in
+      let loads = Array.make m 0. and assign = Array.make n (-1) in
+      let pack order =
+        Rt_partition.Ltf.pack ~weights ~cap:Float.infinity ~loads
+          ~accept:Rt_partition.Ltf.always ~order ~assign
+      in
+      (* per-processor memo of [energy load] (pure, so bit-identical); the
+         NaN sentinel never matches a real load *)
+      let energy = (Problem.soa p).Problem.energy in
+      let cached_load = Array.make m Float.nan in
+      let cached_energy = Array.make m 0. in
+      (* the cost of the current choice packed in [order] — infinite when
+         a processor is over capacity *)
+      let cost_of order =
+        pack order;
+        let makespan = ref 0. in
+        for j = 0 to m - 1 do
+          makespan := Float.max !makespan loads.(j)
+        done;
+        if Fc.gt !makespan (Problem.capacity p) then Float.infinity
+        else begin
+          let total = ref 0. in
+          for j = 0 to m - 1 do
+            if Float.compare cached_load.(j) loads.(j) <> 0 then begin
+              cached_load.(j) <- loads.(j);
+              cached_energy.(j) <- energy loads.(j)
+            end;
+            total := !total +. cached_energy.(j)
+          done;
+          let penalty = ref 0. in
+          for i = 0 to n - 1 do
+            penalty := !penalty +. lp.(i).(idx.(i))
+          done;
+          !total +. !penalty
+        end
+      in
+      (* task [t] to its (lower) level [k], and [probe] to the resulting
+         visit order: [order] with [t] moved later, past the tasks that now
+         sort before it *)
+      let lower t k =
+        idx.(t) <- k;
+        weights.(t) <- lw.(t).(k);
+        Array.blit order 0 probe 0 n;
+        let rec find s = if order.(s) = t then s else find (s + 1) in
+        let rec shift s =
+          if s + 1 < n && ltf_compare weights order.(s + 1) t < 0 then begin
+            probe.(s) <- order.(s + 1);
+            shift (s + 1)
+          end
+          else probe.(s) <- t
+        in
+        shift (find 0)
+      in
+      let degradable t = idx.(t) < Array.length lw.(t) - 1 in
+      let probe_cost t =
+        let k = idx.(t) in
+        lower t (k + 1);
+        let c = cost_of probe in
+        idx.(t) <- k;
+        weights.(t) <- lw.(t).(k);
+        c
+      in
+      (* the degradable task whose next step sheds the most weight, the
+         earliest on ties; -1 once every task is fully degraded *)
+      let heaviest () =
+        let best = ref (-1) and best_d = ref 0. in
+        for t = 0 to n - 1 do
+          if degradable t then begin
+            let d = lw.(t).(idx.(t)) -. lw.(t).(idx.(t) + 1) in
+            if !best < 0 || not (Fc.exact_ge !best_d d) then begin
+              best := t;
+              best_d := d
+            end
+          end
+        done;
+        !best
+      in
       let rec loop () =
-        let _, current = pack_cost p tasks idx in
-        (* best single-step degradation *)
-        let best = ref None in
-        List.iter
-          (fun t ->
-            if degradable t then begin
-              idx.(t.id) <- idx.(t.id) + 1;
-              let _, c = pack_cost p tasks idx in
-              idx.(t.id) <- idx.(t.id) - 1;
-              match !best with
-              | Some (_, cb) when Rt_prelude.Float_cmp.exact_le cb c -> ()
-              | _ -> best := Some (t.id, c)
-            end)
-          tasks;
-        match !best with
-        | Some (tid, c)
-          when Fc.exact_lt c (current -. (1e-12 *. Float.max 1. current))
-               || Fc.exact_eq current Float.infinity ->
-            if
-              Fc.exact_eq c Float.infinity
-              && Fc.exact_eq current Float.infinity
-            then begin
-              (* march toward feasibility by shedding the most weight *)
-              let heaviest = ref None in
-              List.iter
-                (fun t ->
-                  if degradable t then begin
-                    let l0 = List.nth t.levels idx.(t.id) in
-                    let l1 = List.nth t.levels (idx.(t.id) + 1) in
-                    let drop = l0.weight -. l1.weight in
-                    match !heaviest with
-                    | Some (_, d) when Rt_prelude.Float_cmp.exact_ge d drop -> ()
-                    | _ -> heaviest := Some (t.id, drop)
-                  end)
-                tasks;
-              match !heaviest with
-              | Some (tid, _) ->
-                  idx.(tid) <- idx.(tid) + 1;
-                  loop ()
-              | None -> () (* fully degraded and still infeasible *)
+        let current = cost_of order in
+        let infeasible = Fc.exact_eq current Float.infinity in
+        (* the best single-step degradation, the earliest on ties *)
+        let best = ref (-1) and best_c = ref 0. in
+        for t = 0 to n - 1 do
+          if degradable t then begin
+            let c = probe_cost t in
+            if !best < 0 || not (Fc.exact_le !best_c c) then begin
+              best := t;
+              best_c := c
             end
-            else begin
-              idx.(tid) <- idx.(tid) + 1;
-              loop ()
-            end
-        | _ -> ()
+          end
+        done;
+        if
+          !best >= 0
+          && (Fc.exact_lt !best_c (current -. (1e-12 *. Float.max 1. current))
+             || infeasible)
+        then begin
+          (* no single step restores feasibility: march toward it by
+             shedding the most weight *)
+          let t =
+            if infeasible && Fc.exact_eq !best_c Float.infinity then heaviest ()
+            else !best
+          in
+          if t >= 0 then begin
+            lower t (idx.(t) + 1);
+            Array.blit probe 0 order 0 n;
+            loop ()
+          end
+        end
       in
       loop ();
-      let part, _ = pack_cost p tasks idx in
+      pack order;
+      (* the positive-weight choices, under their original ids *)
+      let buckets = Array.make m [] in
+      Array.iter
+        (fun i ->
+          if Fc.exact_gt weights.(i) 0. then
+            buckets.(assign.(i)) <-
+              Task.item ~id:(back i) ~weight:weights.(i) () :: buckets.(assign.(i)))
+        order;
       {
         choices =
-          List.map
-            (fun t -> { task_id = back t.id; level_index = idx.(t.id) })
-            tasks;
-        partition =
-          (* remap the dense ids in the partition back to the originals *)
-          Rt_partition.Partition.of_buckets
-            (Array.init (Rt_partition.Partition.m part) (fun j ->
-                 List.map
-                   (fun (it : Task.item) ->
-                     Task.item ~id:(back it.item_id) ~weight:it.weight ())
-                   (Rt_partition.Partition.bucket part j)));
+          Array.to_list
+            (Array.mapi (fun i k -> { task_id = back i; level_index = k }) idx);
+        partition = Rt_partition.Partition.of_buckets buckets;
       })
 
 let exhaustive (p : Problem.t) tasks =

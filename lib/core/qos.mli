@@ -26,16 +26,11 @@ type qtask = private {
       (** distinct weights, sorted decreasing; the first is full service *)
 }
 
-val level : weight:float -> penalty:float -> level
-(** @raise Invalid_argument on negative or non-finite fields. *)
-
-val qtask : id:int -> levels:level list -> qtask
-(** Sorts the levels by decreasing weight.
-    @raise Invalid_argument on an empty menu or duplicate weights. *)
-
 val of_item : Rt_task.Task.item -> qtask
 (** The binary menu: full service (its weight, penalty 0) or full
-    rejection (weight 0, its penalty). *)
+    rejection (weight 0, its penalty).
+    @raise Invalid_argument on a zero-weight item (two levels of weight
+    0) or a non-finite or negative weight or penalty. *)
 
 val graceful : ?steps:int -> ?curve:float -> Rt_task.Task.item -> qtask
 (** A [steps]-point menu (default 4) between full service and full
@@ -43,8 +38,8 @@ val graceful : ?steps:int -> ?curve:float -> Rt_task.Task.item -> qtask
     [(1 - f)^curve] of the penalty. [curve] defaults to 1 (linear);
     [curve > 1] makes the first quality losses cheap (video enhancement
     layers, sensor subsampling) and is where degradation genuinely beats
-    binary rejection. @raise Invalid_argument if [steps < 2] or
-    [curve <= 0]. *)
+    binary rejection. @raise Invalid_argument if [steps < 2],
+    [curve <= 0], or on an item {!of_item} rejects. *)
 
 (** {1 Solutions} *)
 
@@ -73,7 +68,9 @@ val greedy_degrade : Problem.t -> qtask list -> solution
 (** Start everything at full service; while the LTF packing is infeasible
     {e or} some single-step degradation pays for itself (energy saved
     exceeds penalty added), apply the best such step and repack.
-    Terminates: each step strictly moves down a finite menu. *)
+    Terminates: each step strictly moves down a finite menu. The menus
+    are converted to arrays once; every probe re-packs through
+    {!Rt_partition.Ltf.pack} without building items or partitions. *)
 
 val exhaustive : Problem.t -> qtask list -> solution
 (** Enumerate level menus × partitions (via {!Rt_exact.Search} on each

@@ -267,19 +267,6 @@ let recover_periodic ~proc ~m ~(tasks : Task.periodic list) sc policy =
           residual = Some s';
         }
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>misses: %a@,shed: %a@,extra penalty: %.6g@,energy: %.6g faulty vs \
-     %.6g fault-free (delta %+.6g)@]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-       Format.pp_print_int)
-    r.misses
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-       Format.pp_print_int)
-    r.shed r.extra_penalty r.energy_faulty r.energy_fault_free r.energy_delta
-
 (* ------------------------------------------------------------------ *)
 (* Online re-planning for the streaming service (lib/serve). *)
 
@@ -292,36 +279,11 @@ type residual_job = {
   rj_penalty : float;
 }
 
-let online_eps = 1e-9
-
-(* the EDF density of the residual set from [now] — the same statistic
-   Rt_online.Admission prices feasibility with, restated over bare
-   (remaining, deadline) pairs so this module stays independent of the
-   job representation *)
-let online_density ~now jobs =
-  let sorted =
-    List.sort (fun a b -> Float.compare a.rj_deadline b.rj_deadline) jobs
-  in
-  let _, best =
-    List.fold_left
-      (fun (work, best) j ->
-        let work = work +. j.rj_remaining in
-        let slack = j.rj_deadline -. now in
-        if Fc.exact_le slack online_eps then (work, Float.infinity)
-        else (work, Float.max best (work /. slack)))
-      (0., 0.) sorted
-  in
-  best
-
 let shed_online ~now ~cap jobs =
   let arr = Array.of_list jobs in
   let n = Array.length arr in
-  (* deadline order with ties broken by original position — the stable
-     sort each [online_density] round used to apply. Filtering a list
-     commutes with stable-sorting it, so hoisting one sort out of the
-     loop and skipping dropped slots visits the surviving jobs in
-     exactly the order (and summation association) the per-round
-     sort-and-fold did. *)
+  (* deadline order with ties broken by input position; each round reads
+     the kept jobs off it, so survivors are summed in that order *)
   let by_deadline = Array.init n (fun i -> i) in
   Array.sort
     (fun a b ->
@@ -329,21 +291,21 @@ let shed_online ~now ~cap jobs =
       if c <> 0 then c else Int.compare a b)
     by_deadline;
   let dropped = Array.make n false in
-  (* density of the kept set: one allocation-free pass with unboxed
-     accumulators, instead of a fresh sort + filter per dropped job *)
-  let rec density i work best =
-    if i >= n then best
-    else begin
-      let p = by_deadline.(i) in
-      if dropped.(p) then density (i + 1) work best
-      else begin
-        let work = work +. arr.(p).rj_remaining in
-        let slack = arr.(p).rj_deadline -. now in
-        if Fc.exact_le slack online_eps then
-          density (i + 1) work Float.infinity
-        else density (i + 1) work (Float.max best (work /. slack))
-      end
-    end
+  (* density of the kept set: compacted in deadline order into scratch
+     arrays, then one {!Rt_prelude.Edf_density} walk *)
+  let remaining = Array.make n 0. in
+  let deadlines = Array.make n 0. in
+  let density () =
+    let len = ref 0 in
+    Array.iter
+      (fun p ->
+        if not dropped.(p) then begin
+          remaining.(!len) <- arr.(p).rj_remaining;
+          deadlines.(!len) <- arr.(p).rj_deadline;
+          incr len
+        end)
+      by_deadline;
+    Rt_prelude.Edf_density.density ~now ~remaining ~deadlines ~len:!len
   in
   (* cheapest rejection value per remaining cycle goes first — the online
      restatement of Shed_density's penalty-per-weight order; ties break
@@ -364,7 +326,7 @@ let shed_online ~now ~cap jobs =
       end)
     drop_order;
   let rec go shed di =
-    if Fc.leq (density 0 0. 0.) cap then List.rev shed
+    if Fc.leq (density ()) cap then List.rev shed
     else if di >= n then List.rev shed (* kept is empty or cap < 0 *)
     else begin
       let id = arr.(drop_order.(di)).rj_id in

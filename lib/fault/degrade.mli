@@ -47,13 +47,6 @@ type report = {
           processors *)
 }
 
-val residual_problem :
-  Rt_core.Problem.t -> Fault.scenario -> (Rt_core.Problem.t, string) result
-(** The instance a shedding policy re-plans: all original items with
-    overrun-inflated weights, [m] = surviving processors,
-    {!Fault.derated_proc} as the platform. Errors when no processor
-    survives or derating empties the speed domain. *)
-
 val recover_frame :
   Rt_core.Problem.t -> Fault.scenario -> baseline:Rt_core.Solution.t ->
   policy -> (report, string) result
@@ -77,8 +70,6 @@ val recover_periodic :
     propagate from scenario validation, hyper-period overflow, or an
     empty residual platform. *)
 
-val pp_report : Format.formatter -> report -> unit
-
 (** {1 Online re-planning (the streaming service)}
 
     The batch policies above re-plan a {e frame} instance. The streaming
@@ -100,17 +91,13 @@ type residual_job = {
     [Rt_online.Job.t], so [rt_fault] stays independent of the online
     layer (the service converts). *)
 
-val online_density : now:float -> residual_job list -> float
-(** The minimum constant speed meeting every residual commitment from
-    [now] (max over deadlines of cumulative-work / time-to-deadline;
-    infinite once a deadline is at or behind [now]) — the same statistic
-    [Rt_online.Admission] prices feasibility with. *)
-
 val shed_online : now:float -> cap:float -> residual_job list -> int list
 (** Which committed jobs to abandon so the rest stay EDF-feasible at a
     sustained speed of [cap]: drops the cheapest penalty-per-remaining-
-    cycle job (ties by id) until {!online_density} of the kept set is at
-    most [cap] (tolerant comparison, matching the admission test).
+    cycle job (ties by id) until the EDF density
+    ({!Rt_prelude.Edf_density.density}) of the kept set, summed in
+    deadline order with ties by input position, is at most [cap]
+    (tolerant comparison, matching the admission test).
     Returns the shed ids {e in shed order} — the cheapest-first prefix
     property the service's overload tests pin down. Empty when the set
     already fits. *)

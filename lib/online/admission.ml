@@ -1,4 +1,5 @@
 module Fc = Rt_prelude.Float_cmp
+module Edf_density = Rt_prelude.Edf_density
 open Rt_power
 
 type policy =
@@ -43,11 +44,9 @@ let eps = 1e-9
 (* ------------------------------------------------------------------ *)
 (* One processor's pending set in struct-of-arrays form: parallel arrays
    sorted by (deadline ascending, newest admission first among exact
-   ties) — exactly the order the old [density_pairs] produced by
-   stable-sorting the newest-first cons list this layout replaces, so
-   every density fold visits the same floats in the same order. [seqs]
-   records admission recency so the cold snapshots (residuals, kill,
-   miss logs) can still present jobs newest-first, like the list did. *)
+   ties) — [Edf_density]'s tie rule, which fixes the summation order of
+   every density fold. [seqs] records admission recency so the cold
+   snapshots (residuals, kill, miss logs) present jobs newest-first. *)
 
 type pending = {
   mutable len : int;
@@ -76,16 +75,14 @@ let pending_grow pen (j : Job.t) =
   pen.deadlines <- deadlines;
   pen.seqs <- seqs
 
-(* leftmost slot whose deadline is >= d: inserting there keeps every
-   exact-tie group newest-first, which is where a stable sort of the
-   newest-first cons list would have put a fresh arrival *)
-let rec insert_pos pen d i =
-  if i >= pen.len || Float.compare pen.deadlines.(i) d >= 0 then i
-  else insert_pos pen d (i + 1)
-
 let pending_insert pen (j : Job.t) ~remaining ~seq =
   if pen.len >= Array.length pen.jobs then pending_grow pen j;
-  let pos = insert_pos pen j.Job.deadline 0 in
+  (* leftmost among equal deadlines: every exact-tie group stays
+     newest-first *)
+  let pos =
+    Edf_density.insert_index ~deadlines:pen.deadlines ~len:pen.len
+      j.Job.deadline
+  in
   let shift = pen.len - pos in
   Array.blit pen.jobs pos pen.jobs (pos + 1) shift;
   Array.blit pen.remaining pos pen.remaining (pos + 1) shift;
@@ -114,67 +111,16 @@ let recency_positions pen =
   idx
 
 (* the minimum constant speed meeting every pending commitment from
-   [now]: max over deadlines of cumulative-work-due / time-to-deadline.
-   The arrays are deadline-sorted, so this is one allocation-free pass
-   with unboxed accumulators. *)
-let rec density_go pen now i work best =
-  if i >= pen.len then best
-  else begin
-    let work = work +. pen.remaining.(i) in
-    let slack = pen.deadlines.(i) -. now in
-    if Fc.exact_le slack eps then density_go pen now (i + 1) work Float.infinity
-    else density_go pen now (i + 1) work (Float.max best (work /. slack))
-  end
-
-let pending_density pen ~now = density_go pen now 0 0. 0.
-
-(* density of the pending set plus one hypothetical job, without
-   materializing the trial set: a merge walk that folds the trial in
-   where a stable sort of the consed trial list would have placed it
-   (leftmost among exact deadline ties), so the accumulation order —
-   and thus every float result — matches the old cons-and-sort probe *)
-let rec density_trial_go pen now r_t d_t placed i work best =
-  if (not placed) && (i >= pen.len || Float.compare pen.deadlines.(i) d_t >= 0)
-  then begin
-    let work = work +. r_t in
-    let slack = d_t -. now in
-    if Fc.exact_le slack eps then
-      density_trial_go pen now r_t d_t true i work Float.infinity
-    else
-      density_trial_go pen now r_t d_t true i work
-        (Float.max best (work /. slack))
-  end
-  else if i >= pen.len then best
-  else begin
-    let work = work +. pen.remaining.(i) in
-    let slack = pen.deadlines.(i) -. now in
-    if Fc.exact_le slack eps then
-      density_trial_go pen now r_t d_t placed (i + 1) work Float.infinity
-    else
-      density_trial_go pen now r_t d_t placed (i + 1) work
-        (Float.max best (work /. slack))
-  end
+   [now], and the same with one hypothetical job merged in — both one
+   allocation-free pass over the deadline-sorted arrays *)
+let pending_density pen ~now =
+  Edf_density.density ~now ~remaining:pen.remaining ~deadlines:pen.deadlines
+    ~len:pen.len
 
 let pending_density_with pen ~now ~remaining ~deadline =
-  density_trial_go pen now remaining deadline false 0 0. 0.
-
-(* the same fold over an explicit pair list — the re-planning probe
-   ([Exec.density_of]) splices caller-supplied hypothetical work in
-   front of the pending set, exactly as the list-based executor did *)
-let density_pairs ~now pairs =
-  let sorted =
-    List.sort (fun (_, da) (_, db) -> Float.compare da db) pairs
-  in
-  (* unboxed accumulators: cumulative work and the running max density *)
-  let rec go work best = function
-    | [] -> best
-    | (remaining, deadline) :: rest ->
-        let work = work +. remaining in
-        let slack = deadline -. now in
-        if Fc.exact_le slack eps then go work Float.infinity rest
-        else go work (Float.max best (work /. slack)) rest
-  in
-  go 0. 0. sorted
+  Edf_density.density_with ~now ~remaining:pen.remaining
+    ~deadlines:pen.deadlines ~len:pen.len ~trial_remaining:remaining
+    ~trial_deadline:deadline
 
 let critical (proc : Processor.t) =
   match proc.dormancy with
@@ -247,11 +193,19 @@ let advance (proc : Processor.t) ~cap ~s_crit ~p_idle pen ~now ~until =
         let i = edf_pick pen in
         let jb = pen.jobs.(i) in
         let finish = !now +. (pen.remaining.(i) /. speed) in
-        let t_next = Float.min finish until in
-        let dt = t_next -. !now in
-        energy := !energy +. (dt *. Power_model.power proc.model speed);
-        pen.remaining.(i) <- pen.remaining.(i) -. (dt *. speed);
-        now := t_next;
+        if Fc.exact_le finish !now then
+          (* the head's remaining time is below the clock's resolution at
+             [now] (a long stream, or epoch-style times): a step would not
+             move the clock, so the head completes at [now] — in no
+             representable time, hence at no energy *)
+          pen.remaining.(i) <- 0.
+        else begin
+          let t_next = Float.min finish until in
+          let dt = t_next -. !now in
+          energy := !energy +. (dt *. Power_model.power proc.model speed);
+          pen.remaining.(i) <- pen.remaining.(i) -. (dt *. speed);
+          now := t_next
+        end;
         if Fc.exact_le pen.remaining.(i) (eps *. Float.max 1. jb.Job.cycles)
         then begin
           if Fc.exact_gt !now (jb.Job.deadline +. 1e-6) then
@@ -346,17 +300,6 @@ module Exec = struct
     let acc = ref [] in
     Array.iteri (fun i alive -> if alive then acc := i :: !acc) t.alive;
     List.rev !acc
-
-  let active_count t =
-    Array.fold_left (fun acc pen -> acc + pen.len) 0 t.pendings
-
-  let backlog t =
-    Array.fold_left
-      (fun acc pen ->
-        Array.fold_left
-          (fun acc p -> acc +. pen.remaining.(p))
-          acc (recency_positions pen))
-      0. t.pendings
 
   (* attach [j] as the newest pending entry on processor [i] *)
   let attach t i (j : Job.t) ~remaining =
@@ -521,18 +464,13 @@ module Exec = struct
            (recency_positions pen))
     end
 
-  let density_of t ~proc ~extra =
+  let density_of t ~proc =
     if proc < 0 || proc >= Array.length t.pendings then Float.infinity
-    else begin
-      let pen = t.pendings.(proc) in
-      let pairs =
-        Array.to_list
-          (Array.map
-             (fun p -> (pen.remaining.(p), pen.deadlines.(p)))
-             (recency_positions pen))
-      in
-      density_pairs ~now:!(t.now) (extra @ pairs)
-    end
+    else pending_density t.pendings.(proc) ~now:!(t.now)
+
+  let density_with t ~proc ~remaining ~deadline =
+    if proc < 0 || proc >= Array.length t.pendings then Float.infinity
+    else pending_density_with t.pendings.(proc) ~now:!(t.now) ~remaining ~deadline
 
   let remove_active t ~id =
     let found = ref None in

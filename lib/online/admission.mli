@@ -136,12 +136,6 @@ module Exec : sig
   val live : t -> int list
   (** Indices of processors that have not been {!kill}ed, ascending. *)
 
-  val active_count : t -> int
-  (** Admitted jobs still pending, across all processors. *)
-
-  val backlog : t -> float
-  (** Remaining admitted cycles, across all processors. *)
-
   val speed_cap : t -> float
   (** Effective top speed: [s_max] until {!set_speed_cap} lowers it. *)
 
@@ -180,10 +174,15 @@ module Exec : sig
   (** Snapshot of one processor's pending jobs with their remaining
       cycles ([] out of range). *)
 
-  val density_of : t -> proc:int -> extra:(float * float) list -> float
-  (** Density speed of processor [proc]'s pending set plus [extra]
-      hypothetical [(remaining, deadline)] work, at time [now] — the
-      feasibility probe for re-homing and re-planning. *)
+  val density_of : t -> proc:int -> float
+  (** Density speed of processor [proc]'s pending set at time [now]
+      ({!Rt_prelude.Edf_density.density}; infinite out of range) — the
+      feasibility probe for re-planning. *)
+
+  val density_with :
+    t -> proc:int -> remaining:float -> deadline:float -> float
+  (** {!density_of} with one hypothetical job of [remaining] cycles due at
+      [deadline] merged in — the feasibility probe for re-homing. *)
 
   val remove_active : t -> id:int -> (Job.t * float) option
   (** Detach a pending job (whichever processor holds it), returning it

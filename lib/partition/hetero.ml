@@ -158,16 +158,15 @@ let leuf (proc : Processor.t) ~m ~horizon items =
         if c <> 0 then c else compare a.Task.item_id b.Task.item_id)
       items
   in
-  let est_load = Array.make m 0. in
-  List.fold_left
-    (fun p it ->
-      let best = ref 0 in
-      Array.iteri
-        (fun j l -> if Fc.exact_lt l est_load.(!best) then best := j)
-        est_load;
-      est_load.(!best) <- est_load.(!best) +. time_of it;
-      Partition.add p !best it)
-    (Partition.empty ~m) sorted
+  (* LTF on the estimated times: the packer balances those, while the
+     partition keeps each item's own weight *)
+  let items = Array.of_list sorted in
+  let n = Array.length items in
+  let order = Array.init n Fun.id in
+  let assign = Array.make n (-1) in
+  Ltf.pack ~weights:(Array.map time_of items) ~cap:Float.infinity
+    ~loads:(Array.make m 0.) ~accept:Ltf.always ~order ~assign;
+  Partition.of_assignment ~m items ~order ~assign
 
 let total_energy (proc : Processor.t) ~horizon p =
   let rec go j acc =

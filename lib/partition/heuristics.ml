@@ -1,9 +1,16 @@
 open Rt_task
 
+(* every item, in list order, onto the least-loaded processor *)
 let greedy_min_load ~m items =
-  List.fold_left
-    (fun p it -> Partition.add p (Partition.min_load_index p) it)
-    (Partition.empty ~m) items
+  let items = Array.of_list items in
+  let n = Array.length items in
+  let order = Array.init n Fun.id in
+  let assign = Array.make n (-1) in
+  Ltf.pack
+    ~weights:(Array.map (fun (it : Task.item) -> it.weight) items)
+    ~cap:Float.infinity ~loads:(Array.make m 0.)
+    ~accept:Ltf.always ~order ~assign;
+  Partition.of_assignment ~m items ~order ~assign
 
 let ltf ~m items =
   greedy_min_load ~m (List.sort Task.compare_item_weight_desc items)
@@ -15,46 +22,23 @@ let random rng ~m items =
     (fun p it -> Partition.add p (Rt_prelude.Rng.int rng ~lo:0 ~hi:(m - 1)) it)
     (Partition.empty ~m) items
 
-let fit_by ~choose ~m ~capacity items =
+(* each item, in list order, onto the lowest-index processor it fits on *)
+let first_fit ~m ~capacity items =
   if Rt_prelude.Float_cmp.exact_le capacity 0. then
     invalid_arg "Heuristics.fit: capacity <= 0";
+  let rec first p (it : Task.item) j =
+    if j >= m then None
+    else if Rt_prelude.Float_cmp.leq (Partition.load p j +. it.weight) capacity
+    then Some j
+    else first p it (j + 1)
+  in
   let place (p, rejected) (it : Task.item) =
-    let fits j = Rt_prelude.Float_cmp.leq (Partition.load p j +. it.weight) capacity in
-    let candidates = List.filter fits (Rt_prelude.Math_util.range 0 (m - 1)) in
-    match choose p candidates with
+    match first p it 0 with
     | None -> (p, it :: rejected)
     | Some j -> (Partition.add p j it, rejected)
   in
   let p, rejected = List.fold_left place (Partition.empty ~m, []) items in
   (p, List.rev rejected)
 
-let first_fit ~m ~capacity items =
-  fit_by ~m ~capacity items ~choose:(fun _ -> function
-    | [] -> None
-    | j :: _ -> Some j)
-
 let first_fit_decreasing ~m ~capacity items =
   first_fit ~m ~capacity (List.sort Task.compare_item_weight_desc items)
-
-let extreme_by ~better p = function
-  | [] -> None
-  | j :: rest ->
-      Some
-        (List.fold_left
-           (fun best j' ->
-             if better (Partition.load p j') (Partition.load p best) then j'
-             else best)
-           j rest)
-
-let best_fit ~m ~capacity items =
-  fit_by ~m ~capacity items
-    ~choose:(fun p -> extreme_by ~better:Rt_prelude.Float_cmp.exact_gt p)
-
-let worst_fit ~m ~capacity items =
-  fit_by ~m ~capacity items
-    ~choose:(fun p -> extreme_by ~better:Rt_prelude.Float_cmp.exact_lt p)
-
-let capacity_respected ~capacity p =
-  Array.for_all
-    (fun l -> Rt_prelude.Float_cmp.leq l capacity)
-    (Partition.loads p)

@@ -8,9 +8,10 @@
     property tests exercise.
 
     [greedy_unsorted] is the companion's Algorithm RAND reference: the same
-    min-load greedy but in arrival order (no sort). [random] places each
-    item uniformly at random. The [*_fit] heuristics are capacity-aware
-    bin-packing rules that return the items that fit nowhere. *)
+    min-load greedy but in arrival order (no sort). Both place through
+    {!Ltf.pack}. [random] places each item uniformly at random.
+    [first_fit_decreasing] is the capacity-aware bin-packing rule behind
+    {!La_ltf.consolidate}. *)
 
 val ltf : m:int -> Rt_task.Task.item list -> Partition.t
 
@@ -18,28 +19,10 @@ val greedy_unsorted : m:int -> Rt_task.Task.item list -> Partition.t
 
 val random : Rt_prelude.Rng.t -> m:int -> Rt_task.Task.item list -> Partition.t
 
-val first_fit :
-  m:int -> capacity:float -> Rt_task.Task.item list ->
-  Partition.t * Rt_task.Task.item list
-(** Scan processors in index order; place the item on the first whose load
-    would stay [<= capacity]; unplaceable items are returned (in input
-    order). @raise Invalid_argument if [capacity <= 0]. *)
-
 val first_fit_decreasing :
   m:int -> capacity:float -> Rt_task.Task.item list ->
   Partition.t * Rt_task.Task.item list
-(** [first_fit] after sorting by weight descending. *)
-
-val best_fit :
-  m:int -> capacity:float -> Rt_task.Task.item list ->
-  Partition.t * Rt_task.Task.item list
-(** Place on the feasible processor with the largest current load (tightest
-    fit). *)
-
-val worst_fit :
-  m:int -> capacity:float -> Rt_task.Task.item list ->
-  Partition.t * Rt_task.Task.item list
-(** Place on the feasible processor with the smallest current load. *)
-
-val capacity_respected : capacity:float -> Partition.t -> bool
-(** All loads [<=] capacity (within tolerance). *)
+(** Sort by weight descending, then place each item on the lowest-index
+    processor whose load would stay [<= capacity] (tolerant); the items
+    that fit nowhere are returned in that order.
+    @raise Invalid_argument if [capacity <= 0]. *)

@@ -1,8 +1,8 @@
 open Rt_task
 
 (* [sums] caches the per-bucket weight totals so load queries are O(1)
-   reads instead of list folds; [add] maintains it incrementally (one
-   addition), [of_buckets] recomputes it from the lists. The cache is
+   reads instead of list folds; [add] and [of_assignment] accumulate it in
+   insertion order, [of_buckets] recomputes it from the lists. The cache is
    never exposed by reference — {!loads} copies — so the value stays
    observably immutable. *)
 type t = { m : int; buckets : Task.item list array; sums : float array }
@@ -18,6 +18,21 @@ let add t j it =
   buckets.(j) <- it :: buckets.(j);
   sums.(j) <- sums.(j) +. it.weight;
   { t with buckets; sums }
+
+let of_assignment ~m items ~order ~assign =
+  if m < 1 then invalid_arg "Partition.of_assignment: m < 1";
+  let buckets = Array.make m [] in
+  let sums = Array.make m 0. in
+  Array.iter
+    (fun i ->
+      let j = assign.(i) in
+      if j >= 0 then begin
+        let (it : Task.item) = items.(i) in
+        buckets.(j) <- it :: buckets.(j);
+        sums.(j) <- sums.(j) +. it.weight
+      end)
+    order;
+  { m; buckets; sums }
 
 let all_items t = Array.to_list t.buckets |> List.concat
 
@@ -70,23 +85,6 @@ let load t j =
   t.sums.(j)
 
 let makespan t = Array.fold_left Float.max 0. t.sums
-
-let min_load_index t =
-  let ls = t.sums in
-  let best = ref 0 in
-  Array.iteri
-    (fun j l -> if Rt_prelude.Float_cmp.exact_lt l ls.(!best) then best := j)
-    ls;
-  !best
-
-let processor_of t id =
-  let found = ref None in
-  Array.iteri
-    (fun j b ->
-      if !found = None && List.exists (fun (it : Task.item) -> it.item_id = id) b
-      then found := Some j)
-    t.buckets;
-  !found
 
 let id_set b =
   List.map (fun (it : Task.item) -> it.item_id) b |> List.sort compare

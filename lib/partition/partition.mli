@@ -20,7 +20,17 @@ val add : t -> int -> Rt_task.Task.item -> t
     @raise Invalid_argument if [j] is out of range. *)
 
 val of_buckets : Rt_task.Task.item list array -> t
-(** @raise Invalid_argument on an empty array or duplicate item ids. *)
+(** Loads are summed from each bucket's head (most recent first).
+    @raise Invalid_argument on an empty array or duplicate item ids. *)
+
+val of_assignment :
+  m:int -> Rt_task.Task.item array -> order:int array -> assign:int array ->
+  t
+(** The partition an {!Ltf.pack} run describes: for each position [i] of
+    [order] in turn with [assign.(i) >= 0], item [i] is added to processor
+    [assign.(i)] — the partition (loads summed in insertion order
+    included) that successive {!add}s would build.
+    @raise Invalid_argument if [m < 1]. *)
 
 val m : t -> int
 val bucket : t -> int -> Rt_task.Task.item list
@@ -36,12 +46,6 @@ val load : t -> int -> float
 
 val makespan : t -> float
 (** Largest per-processor load (0. for an all-empty partition). *)
-
-val min_load_index : t -> int
-(** Index of a least-loaded processor (lowest index on ties). *)
-
-val processor_of : t -> int -> int option
-(** [processor_of p id] is the processor holding item [id], if any. *)
 
 val equal_shape : t -> t -> bool
 (** Same [m] and the same set of item ids on each processor (order

@@ -327,7 +327,7 @@ let run ~proc ~config source =
   in
   let replan_proc ~at p =
     let cap = Exec.speed_cap exec in
-    let d = Exec.density_of exec ~proc:p ~extra:[] in
+    let d = Exec.density_of exec ~proc:p in
     if Fc.leq d cap then ()
     else begin
       let rjs =
@@ -367,11 +367,13 @@ let run ~proc ~config source =
       List.fold_left
         (fun acc ((j : Job.t), remaining) ->
           bind acc (fun () ->
-              let extra = [ (remaining, j.deadline) ] in
               let best =
                 List.fold_left
                   (fun best p ->
-                    let d = Exec.density_of exec ~proc:p ~extra in
+                    let d =
+                      Exec.density_with exec ~proc:p ~remaining
+                        ~deadline:j.deadline
+                    in
                     if Fc.leq d cap then begin
                       match best with
                       | Some (_, bd) when Fc.leq bd d -> best

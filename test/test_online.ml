@@ -250,6 +250,43 @@ let test_mp_spreads_load () =
   | Error e -> Alcotest.fail (Admission.error_to_string e)
   | Ok o -> check_int "one forced out on one processor" 1 o.Admission.forced_rejections
 
+(* Long horizons: past about 2^24 a job's remaining time can round to
+   nothing against the clock ([now +. remaining /. speed = now]); the
+   executor must then finish the job instead of stepping in place. *)
+let horizon_stream ~shift =
+  Job.stream (Rt_prelude.Rng.create ~seed:1) ~n:2000 ~rate:0.16 ~s_max:1.
+    ~mean_cycles:25. ~slack_lo:1.2 ~slack_hi:4. ~penalty_factor:1.3
+  |> List.map (fun (j : Job.t) ->
+         job ~id:j.Job.id ~arrival:(j.Job.arrival +. shift) ~cycles:j.Job.cycles
+           ~deadline:(j.Job.deadline +. shift) ~penalty:j.Job.penalty)
+
+let test_long_horizon_terminates () =
+  let run shift =
+    match
+      Admission.simulate_mp ~proc ~m:4 ~policy:Admission.Profitable
+        (horizon_stream ~shift)
+    with
+    | Error e -> Alcotest.failf "shift %g: %s" shift (Admission.error_to_string e)
+    | Ok o -> o
+  in
+  (* the unshifted stream never reaches the new branch: its outcome is
+     pinned bit for bit *)
+  let o = run 0. in
+  check_int "admitted" 1510 (List.length o.Admission.admitted);
+  check_int "forced" 94 o.Admission.forced_rejections;
+  Alcotest.(check int64) "energy bits" 0x40e1ef168aa22a58L
+    (Int64.bits_of_float o.Admission.energy);
+  Alcotest.(check int64) "total bits" 0x40e8970a72fee702L
+    (Int64.bits_of_float o.Admission.total);
+  List.iter
+    (fun shift ->
+      let o = run shift in
+      check_int
+        (Printf.sprintf "every job decided at shift %g" shift)
+        2000
+        (List.length o.Admission.admitted + List.length o.Admission.rejected))
+    [ 2. ** 24.; 1.7e9 ]
+
 (* ------------------------------------------------------------------ *)
 (* YDS *)
 
@@ -382,6 +419,8 @@ let () =
           prop_mp_m1_equals_uniprocessor;
           prop_mp_more_processors_admit_more;
           Alcotest.test_case "spreads load" `Quick test_mp_spreads_load;
+          Alcotest.test_case "long horizon terminates" `Quick
+            test_long_horizon_terminates;
         ] );
       ( "yds",
         [

@@ -40,12 +40,9 @@ let test_menu_constructors () =
       check_float 1e-9 "zero weight" 0. last.Qos.weight;
       check_float 1e-9 "full penalty" 8. last.Qos.level_penalty
   | [] -> Alcotest.fail "levels");
-  (match Qos.qtask ~id:0 ~levels:[ Qos.level ~weight:1. ~penalty:0. ] with
-  | _ -> ());
-  match
-    Qos.qtask ~id:0
-      ~levels:[ Qos.level ~weight:1. ~penalty:0.; Qos.level ~weight:1. ~penalty:1. ]
-  with
+  (* a zero-weight item has no service to degrade: every level would
+     have weight 0 *)
+  match Qos.graceful (Task.item ~penalty:1. ~id:0 ~weight:0. ()) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "duplicate weights must be rejected"
 

@@ -108,26 +108,12 @@ let norm p =
 (* Annotations                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let payload_string (p : Parsetree.payload) =
-  match p with
-  | PStr
-      [
-        {
-          pstr_desc =
-            Pstr_eval
-              ({ pexp_desc = Pexp_constant (Pconst_string (s, _, _)); _ }, _);
-          _;
-        };
-      ] ->
-      Some s
-  | _ -> None
-
 let annot_of_attrs ctx (attrs : Parsetree.attributes) =
   List.fold_left
     (fun acc (a : Parsetree.attribute) ->
       if acc <> None then acc
       else if a.attr_name.txt = attr_guarded then
-        match payload_string a.attr_payload with
+        match Dim_table.string_payload a.attr_payload with
         | Some m when m <> "" -> Some (Guarded m)
         | _ ->
             report ctx a.attr_name.loc "conc-annotation"
