@@ -385,6 +385,31 @@ let test_yds_infeasible () =
   let j = job ~id:0 ~arrival:0. ~cycles:100. ~deadline:50. ~penalty:0. in
   check_bool "over s_max" true (Result.is_error (Yds.energy ~proc [ j ]))
 
+let test_yds_energy_duplicate_ids () =
+  let a = job ~id:3 ~arrival:0. ~cycles:10. ~deadline:50. ~penalty:0. in
+  let b = job ~id:3 ~arrival:5. ~cycles:10. ~deadline:80. ~penalty:0. in
+  (match Yds.energy ~proc [ a; b ] with
+  | Error e -> Alcotest.(check string) "typed error" "Yds.energy: duplicate job ids" e
+  | Ok _ -> Alcotest.fail "duplicate ids accepted");
+  Alcotest.check_raises "blocks still raises"
+    (Invalid_argument "Yds: duplicate job ids") (fun () ->
+      ignore (Yds.blocks [ a; b ]));
+  Alcotest.check_raises "peak_intensity still raises"
+    (Invalid_argument "Yds: duplicate job ids") (fun () ->
+      ignore (Yds.peak_intensity [ a; b ]))
+
+let prop_yds_peak_is_first_block =
+  qtest "Yds.peak_intensity = intensity of the first block (0 for no jobs)"
+    QCheck2.Gen.(pair (int_range 1 10_000) (int_range 0 40))
+    (fun (seed, n) ->
+      let jobs = List.filteri (fun i _ -> i < n) (random_stream seed) in
+      let expected =
+        match Yds.blocks jobs with [] -> 0. | b :: _ -> b.Yds.intensity
+      in
+      Int64.equal
+        (Int64.bits_of_float (Yds.peak_intensity jobs))
+        (Int64.bits_of_float expected))
+
 let () =
   Alcotest.run "rt_online"
     [
@@ -432,5 +457,8 @@ let () =
           Alcotest.test_case "critical clamp" `Quick
             test_yds_energy_critical_clamp;
           Alcotest.test_case "infeasible detection" `Quick test_yds_infeasible;
+          Alcotest.test_case "energy on duplicate ids" `Quick
+            test_yds_energy_duplicate_ids;
+          prop_yds_peak_is_first_block;
         ] );
     ]
