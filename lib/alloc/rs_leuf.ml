@@ -28,11 +28,7 @@ let estimate_energy (proc : Rt_power.Processor.t) ~frame items times =
     0. items
 
 let awake_overhead (proc : Rt_power.Processor.t) ~frame ~processors =
-  match proc.dormancy with
-  | Rt_power.Processor.Dormant_enable _ -> 0.
-  | Rt_power.Processor.Dormant_disable ->
-      float_of_int processors *. frame
-      *. proc.model.Rt_power.Power_model.p_ind
+  float_of_int processors *. frame *. Rt_power.Processor.idle_rate proc
 
 let feasible_times (proc : Rt_power.Processor.t) ~frame items times =
   let s_max = Rt_power.Processor.s_max proc in

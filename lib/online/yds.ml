@@ -183,22 +183,12 @@ let energy ~(proc : Rt_power.Processor.t) jobs =
         Error "Yds.energy: infeasible (peak intensity above s_max)"
     | _ ->
         let model = proc.Rt_power.Processor.model in
-        let s_crit =
-          match proc.Rt_power.Processor.dormancy with
-          | Rt_power.Processor.Dormant_enable _ ->
-              Rt_power.Processor.critical_speed proc
-          | Rt_power.Processor.Dormant_disable -> 0.
-        in
-        let leak_while_idle =
-          match proc.Rt_power.Processor.dormancy with
-          | Rt_power.Processor.Dormant_enable _ -> 0.
-          | Rt_power.Processor.Dormant_disable ->
-              Rt_power.Power_model.power model 0.
-        in
+        let floor = Rt_power.Processor.speed_floor proc in
+        let leak_while_idle = Rt_power.Processor.idle_rate proc in
         Ok
           (List.fold_left
              (fun acc b ->
-               let s = Float.min s_max (Float.max s_crit b.intensity) in
+               let s = Float.min s_max (Float.max floor b.intensity) in
                if Fc.exact_le s 0. then acc
                else begin
                  let busy = b.work /. s in

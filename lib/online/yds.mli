@@ -43,8 +43,9 @@ val peak_intensity : Job.t list -> float
 val energy :
   proc:Rt_power.Processor.t -> Job.t list -> (float, string) result
 (** Offline-optimal energy on an ideal processor: each block runs at
-    [max(intensity, critical speed)] (sleeping through the slack when the
-    clamp is active; dormant-disable processors instead pay leakage over
-    the block). Errors when the peak intensity exceeds [s_max] (no
-    feasible schedule), when the processor has discrete levels, or when
-    two jobs share an id. *)
+    [max(intensity, Processor.speed_floor proc)] — the critical speed on a
+    dormant-enable processor, which sleeps through the slack when the
+    clamp is active; [s_min] on a dormant-disable one, which pays leakage
+    over the rest of the block. Errors when the peak intensity exceeds
+    [s_max] (no feasible schedule), when the processor has discrete
+    levels, or when two jobs share an id. *)

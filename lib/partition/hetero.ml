@@ -101,9 +101,7 @@ let processor_speeds (proc : Processor.t) ~horizon items =
   solve_jobs proc ~time_budget:horizon jobs
 
 let awake_overhead (proc : Processor.t) ~horizon =
-  match proc.dormancy with
-  | Processor.Dormant_disable -> proc.model.Power_model.p_ind *. horizon
-  | Processor.Dormant_enable _ -> 0.
+  Processor.idle_rate proc *. horizon
 
 let estimated_times (proc : Processor.t) ~m ~horizon items =
   check_proc proc;

@@ -20,10 +20,7 @@ let exec_energy (proc : Rt_power.Processor.t) ~cycles ~speed =
   *. (leak +. Rt_power.Power_model.dynamic_power proc.model speed)
 
 let idle_energy (proc : Rt_power.Processor.t) ~idle =
-  match proc.dormancy with
-  | Rt_power.Processor.Dormant_enable _ -> 0.
-  | Rt_power.Processor.Dormant_disable ->
-      idle *. Rt_power.Processor.idle_power proc
+  idle *. Rt_power.Processor.idle_rate proc
 
 let optimal ~(proc : Rt_power.Processor.t) ~m ~frame items =
   if m < 1 then Error "Migration.optimal: m < 1"

@@ -123,6 +123,16 @@ let critical_speed t =
 
 let idle_power t = t.model.Power_model.p_ind
 
+let idle_rate t =
+  match t.dormancy with
+  | Dormant_enable _ -> 0.
+  | Dormant_disable -> idle_power t
+
+let speed_floor t =
+  match t.dormancy with
+  | Dormant_enable _ -> critical_speed t
+  | Dormant_disable -> s_min t
+
 let pp ppf t =
   let domain_str =
     match t.domain with

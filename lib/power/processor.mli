@@ -65,6 +65,16 @@ val idle_power : t -> float [@rt.dim "watts"]
 (** Power drawn while idle-but-awake: [p_ind] (dynamic power vanishes at
     speed 0 for the polynomial model). *)
 
+val idle_rate : t -> float [@rt.dim "watts"]
+(** Power drawn while no task runs: [0.] on a dormant-enable processor
+    (it sleeps), {!idle_power} on a dormant-disable one. Sleep-transition
+    overheads are not included (see [Rt_speed.Procrastinate]). *)
+
+val speed_floor : t -> float [@rt.dim "speed"]
+(** The slowest speed worth running: {!critical_speed} on a dormant-enable
+    processor (running slower only stretches the awake time), [s_min] on a
+    dormant-disable one (it pays [p_ind] either way). *)
+
 val pp : Format.formatter -> t -> unit
 
 (** {1 Presets used throughout the evaluation} *)

@@ -46,11 +46,6 @@ val validate : ?eps:float -> t -> (unit, string) result
     cycles (weight × frame) across its slices; speeds are feasible;
     [total_energy] equals the energy integrated from the slices. *)
 
-val energy_of_slices : proc:Rt_power.Processor.t -> slice list -> float
-(** Integrate energy directly from a timeline (idle slices charged at the
-    dormancy-appropriate idle power: leakage when dormant-disable, zero
-    when dormant-enable). *)
-
 type injection = {
   overrun : int -> float;
       (** per-task WCEC inflation factor (1.0 = nominal); must be finite

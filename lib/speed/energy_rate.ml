@@ -5,19 +5,6 @@ open Rt_power
 type segment = { speed : float; fraction : float }
 type plan = { segments : segment list; rate : float }
 
-let factored_model ?(power_factor = 1.) (m : Power_model.t) =
-  if Fc.exact_eq power_factor 1. then m
-  else
-    Power_model.make ~p_ind:m.p_ind
-      ~linear:(m.linear *. power_factor)
-      ~coeff:(m.coeff *. power_factor)
-      ~alpha:m.alpha ()
-
-let idle_rate (proc : Processor.t) =
-  match proc.dormancy with
-  | Processor.Dormant_enable _ -> 0.
-  | Processor.Dormant_disable -> Processor.idle_power proc
-
 (* Lower convex hull (monotone chain) of points sorted by strictly
    increasing x; the optimal mixing of "operating points" lies on it.
    [pop] walks the hull as a suffix instead of rebuilding it, so one
@@ -33,278 +20,164 @@ let lower_hull points =
   in
   List.fold_left (fun hull p -> pop p hull) [] points |> List.rev
 
-(* Mix the two hull vertices around [u]; returns segments + rate. *)
-let mix_on_hull hull u =
-  (* the hull suffix starting at the vertex pair bracketing [u]; sharing
-     the suffix keeps the bracket unboxed (no per-call float pair) *)
-  let rec find = function
-    | [ (x, _) ] as last ->
-        if
-          Rt_prelude.Float_cmp.approx_eq x u
-          || Rt_prelude.Float_cmp.exact_lt u x
-        then Some last
-        else None
-    | (_ :: ((x2, _) :: _ as rest)) as bracket ->
-        if Rt_prelude.Float_cmp.exact_gt u x2 then find rest
-        else Some bracket
-    | [] -> None
-  in
-  match find hull with
-  | None | Some [] -> None
-  | Some ((x1, y1) :: rest) ->
-      let x2, y2 = match rest with [] -> (x1, y1) | v :: _ -> v in
-      if Rt_prelude.Float_cmp.approx_eq x1 x2 then
-        Some ([ { speed = x2; fraction = 1. } ], y2)
-      else begin
-        let a = (u -. x1) /. (x2 -. x1) in
-        let a = Rt_prelude.Float_cmp.clamp ~lo:0. ~hi:1. a in
-        let segments =
-          [
-            { speed = x2; fraction = a }; { speed = x1; fraction = 1. -. a };
-          ]
-          |> List.filter (fun s -> Fc.exact_gt s.fraction 0.)
-        in
-        (* make sure a pure-vertex mix still covers the whole horizon *)
-        let segments =
-          match segments with
-          | [ s ] -> [ { s with fraction = 1. } ]
-          | ss -> ss
-        in
-        Some (segments, y1 +. (a *. (y2 -. y1)))
-      end
+(* The per-processor half of the kernel, built once per evaluator. On a
+   level processor: the lower hull of the operating points (0, idle rate)
+   and (l, P(l)); the optimum mixes the two hull vertices around [u] (the
+   Ishihara–Yasuura split, with idling or sleeping as one more vertex). On
+   an ideal processor: run at one speed, never below the speed floor, and
+   idle or sleep the rest of the horizon. *)
+type kernel =
+  | Hull of (float * float) list
+  | Run of {
+      model : Power_model.t;
+      idle : float;
+      floor : float;
+      s_max : float;
+    }
 
-(* The per-processor preparation the hot path wants hoisted out of the
-   per-[u] evaluation: the factored model, the lower hull of the level
-   points (Levels domain), and the numeric critical speed (dormant ideal
-   domain) depend only on the processor. [prepare] computes them once and
-   returns a closure that performs exactly the per-[u] arithmetic
-   [optimal] always did — same operations in the same order — so a
-   prepared evaluator is bit-identical to calling [optimal] directly. *)
-let prepare ?power_factor (proc : Processor.t) =
-  let model = factored_model ?power_factor proc.model in
-  let power s = Power_model.power model s in
-  let dynamic s = Power_model.dynamic_power model s in
-  let top = Processor.s_max proc in
-  let eval =
-    match proc.domain with
-    | Processor.Levels ls ->
-        let levels = Array.to_list ls in
-        let points =
-          (* lint: allow-hot-alloc-in-loop "bounded by the processor's static level count and built once per prepared evaluator, not per evaluation" *)
-          (0., idle_rate proc) :: List.map (fun l -> (l, power l)) levels
-        in
-        let hull = lower_hull points in
-        fun u ->
-          Option.map
-            (fun (segments, rate) -> { segments; rate })
-            (mix_on_hull hull u)
-    | Processor.Ideal { s_min; s_max } -> (
-        match proc.dormancy with
-        | Processor.Dormant_disable ->
-            fun u ->
-              if Fc.exact_eq u 0. && Fc.exact_eq s_min 0. then
-                Some
-                  {
-                    segments = [ { speed = 0.; fraction = 1. } ];
-                    rate = Processor.idle_power proc;
-                  }
-              else begin
-                let s_run = Float.max u s_min in
-                let s_run = Float.min s_run s_max in
-                if Fc.exact_le s_run 0. then
-                  Some
-                    {
-                      segments = [ { speed = 0.; fraction = 1. } ];
-                      rate = Processor.idle_power proc;
-                    }
-                else begin
-                  let busy =
-                    Rt_prelude.Float_cmp.clamp ~lo:0. ~hi:1. (u /. s_run)
-                  in
-                  let rate =
-                    Processor.idle_power proc +. (busy *. dynamic s_run)
-                  in
-                  let segments =
-                    if Fc.exact_ge busy 1. then
-                      [ { speed = s_run; fraction = 1. } ]
-                    else if Fc.exact_le busy 0. then
-                      [ { speed = 0.; fraction = 1. } ]
-                    else
-                      [
-                        { speed = s_run; fraction = busy };
-                        { speed = 0.; fraction = 1. -. busy };
-                      ]
-                  in
-                  Some { segments; rate }
-                end
-              end
-        | Processor.Dormant_enable _ ->
-            let s_crit = Power_model.critical_speed model ~s_max in
-            fun u ->
-              if Fc.exact_eq u 0. then
-                Some { segments = [ { speed = 0.; fraction = 1. } ]; rate = 0. }
-              else begin
-                let s_run = Float.max (Float.max u s_min) s_crit in
-                let s_run = Float.min s_run s_max in
-                let busy =
-                  Rt_prelude.Float_cmp.clamp ~lo:0. ~hi:1. (u /. s_run)
-                in
-                let rate = busy *. power s_run in
-                let segments =
-                  if Fc.exact_ge busy 1. then
-                    [ { speed = s_run; fraction = 1. } ]
-                  else
-                    [
-                      { speed = s_run; fraction = busy };
-                      { speed = 0.; fraction = 1. -. busy };
-                    ]
-                in
-                Some { segments; rate }
-              end)
-  in
-  fun u ->
-    if Fc.exact_lt u (-1e-9) || not (Float.is_finite u) then
-      invalid_arg "Energy_rate.optimal: u must be finite and >= 0";
-    (* arithmetic on loads (repeated add/remove) can leave -1e-17 residues *)
-    let u = Float.max 0. u in
-    if Rt_prelude.Float_cmp.gt u top then None else eval u
-
-(* Rate of the optimal mix on the hull — [mix_on_hull] minus the segment
-   list. The rate arithmetic is copied verbatim (same bracket search,
-   same clamp, same interpolation), so the value is bit-identical; only
-   the plan materialization is skipped. *)
-let rate_on_hull hull u =
-  let rec find = function
-    | [ (x, _) ] as last ->
-        if
-          Rt_prelude.Float_cmp.approx_eq x u
-          || Rt_prelude.Float_cmp.exact_lt u x
-        then Some last
-        else None
-    | (_ :: ((x2, _) :: _ as rest)) as bracket ->
-        if Rt_prelude.Float_cmp.exact_gt u x2 then find rest
-        else Some bracket
-    | [] -> None
-  in
-  match find hull with
-  | None | Some [] -> None
-  | Some ((x1, y1) :: rest) ->
-      let x2, y2 = match rest with [] -> (x1, y1) | v :: _ -> v in
-      if Rt_prelude.Float_cmp.approx_eq x1 x2 then Some y2
-      else begin
-        let a = (u -. x1) /. (x2 -. x1) in
-        let a = Rt_prelude.Float_cmp.clamp ~lo:0. ~hi:1. a in
-        Some (y1 +. (a *. (y2 -. y1)))
-      end
-
-(* [prepare] collapsed to the scalar the schedulers actually compare:
-   [prepare_energy proc ~horizon u] is exactly
-   [(Option.get (prepare proc u)).rate *. horizon] bit for bit — every
-   rate below is the same expression as the corresponding [prepare]
-   branch — but computed by ONE flat closure per processor kind, with
-   the argument guards inlined (direct calls) and no plan, segment list
-   or option materialized. The marginal-energy inner loops (Greedy,
-   Local_search) evaluate this thousands of times per instance, so the
-   per-call closure depth and boxing are what this variant removes.
-   Raises where [prepare] returns [None] (required speed over s_max):
-   the schedulers pre-check capacity, so that is an internal error. *)
-let prepare_energy ?power_factor (proc : Processor.t) ~horizon =
-  if Fc.exact_lt horizon 0. then
-    invalid_arg "Energy_rate.prepare_energy: negative horizon";
-  let model = factored_model ?power_factor proc.model in
-  let power s = Power_model.power model s in
-  let dynamic s = Power_model.dynamic_power model s in
-  let top = Processor.s_max proc in
-  let invalid_u () : float =
-    invalid_arg "Energy_rate.optimal: u must be finite and >= 0"
-  in
-  let overload u : float =
-    invalid_arg
-      (Printf.sprintf
-         "Energy_rate.prepare_energy: required speed %.6g exceeds s_max %.6g"
-         u top)
-  in
+let kernel (proc : Processor.t) =
   match proc.domain with
   | Processor.Levels ls ->
-      let levels = Array.to_list ls in
       let points =
         (* lint: allow-hot-alloc-in-loop "bounded by the processor's static level count and built once per prepared evaluator, not per evaluation" *)
-        (0., idle_rate proc) :: List.map (fun l -> (l, power l)) levels
+        Array.fold_right (fun l ps -> (l, Power_model.power proc.model l) :: ps)
+          ls []
       in
-      let hull = lower_hull points in
+      Hull (lower_hull ((0., Processor.idle_rate proc) :: points))
+  | Processor.Ideal { s_max; _ } ->
+      Run
+        {
+          model = proc.model;
+          idle = Processor.idle_rate proc;
+          floor = Processor.speed_floor proc;
+          s_max;
+        }
+
+let load u =
+  if Fc.exact_lt u (-1e-9) || not (Float.is_finite u) then
+    invalid_arg "Energy_rate.optimal: u must be finite and >= 0";
+  (* arithmetic on loads (repeated add/remove) can leave -1e-17 residues *)
+  Float.max 0. u
+
+(* The hull suffix whose first two vertices bracket [u] — a lone last
+   vertex when [u] sits on it — or [] when [u] lies past the hull.
+   Returning the shared suffix keeps the bracket unboxed. *)
+let rec bracket u = function
+  | [ (x, _) ] as last ->
+      if Fc.approx_eq x u || Fc.exact_lt u x then last else []
+  | _ :: ((x2, _) :: _ as rest) as b ->
+      if Fc.exact_gt u x2 then bracket u rest else b
+  | [] -> []
+
+(* the share of the horizon spent at the upper vertex [x2] of a bracket *)
+let upper_share ~x1 ~x2 u = Fc.clamp ~lo:0. ~hi:1. ((u -. x1) /. (x2 -. x1))
+
+(* the ideal processor's running speed for load [u], and the share of
+   the horizon it spends running at that speed *)
+let run_speed ~floor ~s_max u = Float.min (Float.max u floor) s_max
+let busy_share u s_run = Fc.clamp ~lo:0. ~hi:1. (u /. s_run)
+
+let overload u ~top : float =
+  invalid_arg
+    (Printf.sprintf
+       "Energy_rate.prepare_energy: required speed %.6g exceeds s_max %.6g" u
+       top)
+
+(* The only rate arithmetic: one flat closure per processor kind that
+   returns the optimal plan's energy over [horizon], with no plan,
+   segment list or option built. Raises past [s_max]. *)
+let evaluator (proc : Processor.t) kernel ~horizon =
+  let top = Processor.s_max proc in
+  match kernel with
+  | Hull hull ->
       fun u ->
-        if Fc.exact_lt u (-1e-9) || not (Float.is_finite u) then invalid_u ()
+        let u = load u in
+        if Fc.gt u top then overload u ~top
         else begin
-          (* arithmetic on loads (repeated add/remove) leaves -1e-17 residues *)
-          let u = Float.max 0. u in
-          if Rt_prelude.Float_cmp.gt u top then overload u
-          else
-            match rate_on_hull hull u with
-            | Some r -> r *. horizon
-            | None -> overload u
+          match bracket u hull with
+          | [] -> overload u ~top
+          | [ (_, y) ] -> y *. horizon
+          | (x1, y1) :: (x2, y2) :: _ ->
+              if Fc.approx_eq x1 x2 then y2 *. horizon
+              else (y1 +. (upper_share ~x1 ~x2 u *. (y2 -. y1))) *. horizon
         end
-  | Processor.Ideal { s_min; s_max } -> (
-      match proc.dormancy with
-      | Processor.Dormant_disable ->
-          fun u ->
-            if Fc.exact_lt u (-1e-9) || not (Float.is_finite u) then
-              invalid_u ()
-            else begin
-              let u = Float.max 0. u in
-              if Rt_prelude.Float_cmp.gt u top then overload u
-              else if Fc.exact_eq u 0. && Fc.exact_eq s_min 0. then
-                Processor.idle_power proc *. horizon
-              else begin
-                let s_run = Float.max u s_min in
-                let s_run = Float.min s_run s_max in
-                if Fc.exact_le s_run 0. then
-                  Processor.idle_power proc *. horizon
-                else begin
-                  let busy =
-                    Rt_prelude.Float_cmp.clamp ~lo:0. ~hi:1. (u /. s_run)
-                  in
-                  (Processor.idle_power proc +. (busy *. dynamic s_run))
-                  *. horizon
-                end
-              end
-            end
-      | Processor.Dormant_enable _ ->
-          let s_crit = Power_model.critical_speed model ~s_max in
-          fun u ->
-            if Fc.exact_lt u (-1e-9) || not (Float.is_finite u) then
-              invalid_u ()
-            else begin
-              let u = Float.max 0. u in
-              if Rt_prelude.Float_cmp.gt u top then overload u
-              else if Fc.exact_eq u 0. then 0. *. horizon
-              else begin
-                let s_run = Float.max (Float.max u s_min) s_crit in
-                let s_run = Float.min s_run s_max in
-                let busy =
-                  Rt_prelude.Float_cmp.clamp ~lo:0. ~hi:1. (u /. s_run)
-                in
-                busy *. power s_run *. horizon
-              end
-            end)
+  | Run { model; idle; floor; s_max } ->
+      fun u ->
+        let u = load u in
+        if Fc.gt u top then overload u ~top
+        else begin
+          let s_run = run_speed ~floor ~s_max u in
+          if Fc.exact_le s_run 0. then idle *. horizon
+          else
+            (idle
+            +. (busy_share u s_run *. (Power_model.power model s_run -. idle)))
+            *. horizon
+        end
 
-let optimal ?power_factor (proc : Processor.t) ~u =
-  prepare ?power_factor proc u
+let prepare_energy (proc : Processor.t) ~horizon =
+  if Fc.exact_lt horizon 0. then
+    invalid_arg "Energy_rate.prepare_energy: negative horizon";
+  evaluator proc (kernel proc) ~horizon
 
-let rate ?power_factor proc ~u =
-  Option.map (fun p -> p.rate) (optimal ?power_factor proc ~u)
+(* The plan's segments for a guarded load [u], fastest first, laid out by
+   the same bracket and run-speed rules the evaluator prices. *)
+let segments kernel u =
+  let whole speed = [ { speed; fraction = 1. } ] in
+  match kernel with
+  | Hull hull -> (
+      match bracket u hull with
+      | [] -> None
+      | [ (x, _) ] -> Some (whole x)
+      | (x1, _) :: (x2, _) :: _ ->
+          if Fc.approx_eq x1 x2 then Some (whole x2)
+          else begin
+            let a = upper_share ~x1 ~x2 u in
+            if Fc.exact_le a 0. then Some (whole x1)
+            else if Fc.exact_le (1. -. a) 0. then Some (whole x2)
+            else
+              Some
+                [
+                  { speed = x2; fraction = a };
+                  { speed = x1; fraction = 1. -. a };
+                ]
+          end)
+  | Run { floor; s_max; _ } ->
+      let s_run = run_speed ~floor ~s_max u in
+      let busy = if Fc.exact_le s_run 0. then 0. else busy_share u s_run in
+      if Fc.exact_ge busy 1. then Some (whole s_run)
+      else if Fc.exact_le busy 0. then Some (whole 0.)
+      else
+        Some
+          [
+            { speed = s_run; fraction = busy };
+            { speed = 0.; fraction = 1. -. busy };
+          ]
 
-let energy ?power_factor proc ~u ~horizon =
+let optimal (proc : Processor.t) ~u =
+  let kernel = kernel proc in
+  let rate = evaluator proc kernel ~horizon:1. in
+  let u = load u in
+  if Fc.gt u (Processor.s_max proc) then None
+  else
+    Option.map
+      (fun segments -> { segments; rate = rate u })
+      (segments kernel u)
+
+let rate proc ~u = Option.map (fun p -> p.rate) (optimal proc ~u)
+
+let energy proc ~u ~horizon =
   if Fc.exact_lt horizon 0. then
     invalid_arg "Energy_rate.energy: negative horizon";
-  Option.map (fun r -> r *. horizon) (rate ?power_factor proc ~u)
+  Option.map (fun r -> r *. horizon) (rate proc ~u)
 
-let plan_rate ?power_factor (proc : Processor.t) plan =
-  let model = factored_model ?power_factor proc.model in
+(* a plan's average power recomputed from its segments, idle or sleep
+   segments charged per the processor's dormancy *)
+let plan_rate (proc : Processor.t) plan =
   List.fold_left
     (fun acc { speed; fraction } ->
       let p =
-        if Fc.exact_eq speed 0. then idle_rate proc
-        else Power_model.power model speed
+        if Fc.exact_eq speed 0. then Processor.idle_rate proc
+        else Power_model.power proc.model speed
       in
       acc +. (fraction *. p))
     0. plan.segments
@@ -340,11 +213,3 @@ let validate ?eps (proc : Processor.t) ~u plan =
   if Rt_prelude.Float_cmp.approx_eq ?eps (plan_rate proc plan) plan.rate then
     Ok ()
   else Error "reported rate disagrees with segments"
-
-let pp_plan ppf plan =
-  let pp_seg ppf { speed; fraction } =
-    Format.fprintf ppf "%.4g@%.4g" speed fraction
-  in
-  Format.fprintf ppf "{rate=%.6g; [%a]}" plan.rate
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ") pp_seg)
-    plan.segments

@@ -35,52 +35,39 @@ type plan = {
   rate : float;  [@rt.dim "watts"] (** average power of the plan = energy per unit horizon *)
 }
 
-val optimal : ?power_factor:float -> Rt_power.Processor.t -> u:float -> plan option
+val optimal : Rt_power.Processor.t -> u:float -> plan option
   [@@rt.hot "evaluated per candidate placement by every scheduler"]
 (** [optimal proc ~u] is the minimum-average-power plan delivering required
     speed [u >= 0], or [None] when [u] exceeds [s_max] (no feasible plan).
-    [power_factor] scales the speed-dependent power (heterogeneous tasks).
+    Its [rate] is [prepare_energy proc ~horizon:1. u]; its segments are laid
+    out by the same hull bracket and running-speed rule.
     @raise Invalid_argument on negative or non-finite [u]. *)
 
-val prepare :
-  ?power_factor:float -> Rt_power.Processor.t -> (float -> plan option)
-  [@@rt.hot "amortizes hull/critical-speed setup across many evaluations"]
-(** [prepare proc] hoists the per-processor setup of {!optimal} — the
-    factored power model, the lower convex hull of the level points, the
-    numeric critical speed — and returns an evaluator [fun u -> ...] whose
-    results are bit-identical to [optimal proc ~u]. Build it once per
-    instance and call it per candidate load (the SoA hot path). *)
-
 val prepare_energy :
-  ?power_factor:float -> Rt_power.Processor.t -> horizon:float ->
-  (float -> float [@rt.dim "joules"])
+  Rt_power.Processor.t -> horizon:float -> (float -> float [@rt.dim "joules"])
   [@@rt.hot "scalar evaluator for the marginal-energy inner loops"]
-(** Like {!prepare} but the evaluator returns only the plan's energy over
-    [horizon] — [prepare_energy proc ~horizon u] equals
-    [(Option.get (prepare proc u)).rate *. horizon] bit for bit, computed
-    by one flat closure without materializing segments, plan or option.
-    This is the evaluator behind [Rt_core.Problem.bucket_energy]: the
-    greedy and local-search inner loops only ever need the scalar, and
-    they pre-check capacity, so a required speed above [s_max] (where
-    {!prepare} returns [None]) raises [Invalid_argument] here.
+(** The bucket-energy kernel: the one implementation of the optimal rate.
+    [prepare_energy proc ~horizon] hoists the per-processor setup — the
+    lower convex hull of the level points, the idle rate and speed floor
+    (see {!Rt_power.Processor.idle_rate}, {!Rt_power.Processor.speed_floor})
+    — and returns an evaluator whose value at [u] is the optimal plan's
+    energy over [horizon], computed by one flat closure without
+    materializing segments, plan or option. Build it once per instance and
+    call it per candidate load: it is the evaluator behind
+    [Rt_core.Problem.bucket_energy]. The greedy and local-search inner
+    loops pre-check capacity, so a required speed above [s_max] (where
+    {!optimal} returns [None]) raises [Invalid_argument] here.
     @raise Invalid_argument on negative horizon or invalid [u]. *)
 
-val rate :
-  ?power_factor:float -> Rt_power.Processor.t -> u:float ->
-  float option [@rt.dim "watts"]
+val rate : Rt_power.Processor.t -> u:float -> float option [@rt.dim "watts"]
   [@@rt.hot "evaluated per candidate placement by every scheduler"]
 (** Average power of the optimal plan. *)
 
 val energy :
-  ?power_factor:float -> Rt_power.Processor.t -> u:float -> horizon:float ->
+  Rt_power.Processor.t -> u:float -> horizon:float ->
   float option [@rt.dim "joules"]
   [@@rt.hot "evaluated per candidate placement by every scheduler"]
 (** [rate × horizon]. @raise Invalid_argument on negative horizon. *)
-
-val plan_rate :
-  ?power_factor:float -> Rt_power.Processor.t -> plan -> float [@rt.dim "watts"]
-(** Recompute a plan's average power from its segments (idle/sleep segments
-    charged per the processor's dormancy); used to cross-check [rate]. *)
 
 val plan_throughput : plan -> float [@rt.dim "speed"]
 (** [Σ speed·fraction] — the required speed the plan actually delivers. *)
@@ -88,6 +75,5 @@ val plan_throughput : plan -> float [@rt.dim "speed"]
 val validate :
   ?eps:float -> Rt_power.Processor.t -> u:float -> plan -> (unit, string) result
 (** Checks: feasible speeds, non-negative fractions summing to 1, delivered
-    throughput [>= u], and [rate] consistent with the segments. *)
-
-val pp_plan : Format.formatter -> plan -> unit
+    throughput [>= u], and [rate] consistent with the segments (idle or
+    sleep segments charged per the processor's dormancy). *)

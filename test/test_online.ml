@@ -381,6 +381,58 @@ let test_yds_energy_critical_clamp () =
       in
       check_float 1e-6 "clamped energy" expected e
 
+(* a dormant-disable processor cannot run below s_min: the 2-cycle job
+   over [0, 10] runs at 0.5 for 4 time units and idles at leakage for 6 *)
+let test_yds_energy_speed_floor () =
+  let proc =
+    Rt_power.Processor.make
+      ~model:(Rt_power.Power_model.make ~p_ind:0.1 ~coeff:1. ~alpha:3. ())
+      ~domain:(Rt_power.Processor.Ideal { s_min = 0.5; s_max = 1. })
+      ~dormancy:Rt_power.Processor.Dormant_disable
+  in
+  let j = job ~id:0 ~arrival:0. ~cycles:2. ~deadline:10. ~penalty:0. in
+  match Yds.energy ~proc [ j ] with
+  | Error e -> Alcotest.fail e
+  | Ok e ->
+      check_float 1e-12 "runs at s_min" 1.5 e;
+      check_float 1e-12 "= the bucket energy"
+        (Option.get (Rt_speed.Energy_rate.energy proc ~u:0.2 ~horizon:10.))
+        e
+
+(* a single job's YDS block is the whole window at its laxity speed, so
+   YDS must price it exactly as the bucket-energy kernel does *)
+let prop_yds_single_job_is_bucket_energy =
+  qtest ~count:300 "Yds.energy of one job = Energy_rate.energy at its laxity"
+    QCheck2.Gen.(
+      quad (pair bool bool) (float_range 0. 50.) (float_range 0.5 100.)
+        (float_range 0.01 1.))
+    (fun ((sleeps, floored), arrival, span, share) ->
+      let proc =
+        Rt_power.Processor.make
+          ~model:
+            (Rt_power.Power_model.make ~p_ind:0.08 ~coeff:1.52 ~alpha:3. ())
+          ~domain:
+            (Rt_power.Processor.Ideal
+               { s_min = (if floored then 0.3 else 0.); s_max = 1. })
+          ~dormancy:
+            (if sleeps then
+               Rt_power.Processor.Dormant_enable { t_sw = 0.; e_sw = 0. }
+             else Rt_power.Processor.Dormant_disable)
+      in
+      let j =
+        job ~id:0 ~arrival ~cycles:(share *. span) ~deadline:(arrival +. span)
+          ~penalty:0.
+      in
+      match
+        ( Yds.energy ~proc [ j ],
+          Rt_speed.Energy_rate.energy proc ~u:(Job.laxity_speed j)
+            ~horizon:(j.Job.deadline -. j.Job.arrival) )
+      with
+      | Ok e, Some r ->
+          Fc.exact_le (Float.abs (e -. r))
+            (1e-9 *. Float.max (Float.abs e) (Float.abs r))
+      | _ -> false)
+
 let test_yds_infeasible () =
   let j = job ~id:0 ~arrival:0. ~cycles:100. ~deadline:50. ~penalty:0. in
   check_bool "over s_max" true (Result.is_error (Yds.energy ~proc [ j ]))
@@ -456,6 +508,9 @@ let () =
           prop_yds_no_worse_than_online;
           Alcotest.test_case "critical clamp" `Quick
             test_yds_energy_critical_clamp;
+          Alcotest.test_case "speed floor on dormant-disable" `Quick
+            test_yds_energy_speed_floor;
+          prop_yds_single_job_is_bucket_energy;
           Alcotest.test_case "infeasible detection" `Quick test_yds_infeasible;
           Alcotest.test_case "energy on duplicate ids" `Quick
             test_yds_energy_duplicate_ids;

@@ -198,6 +198,33 @@ let test_idle_power () =
   let p = Processor.xscale ~dormancy:Processor.Dormant_disable in
   check_float 1e-12 "idle = leakage" 0.08 (Processor.idle_power p)
 
+let test_dormancy_rules () =
+  let make dormancy =
+    Processor.make ~model:xscale
+      ~domain:(Processor.Ideal { s_min = 0.3; s_max = 1. })
+      ~dormancy
+  in
+  let awake = make Processor.Dormant_disable in
+  let sleepy = make (Processor.Dormant_enable { t_sw = 1.; e_sw = 0.5 }) in
+  check_float 0. "awake idles at leakage" 0.08 (Processor.idle_rate awake);
+  check_float 0. "sleeper idles free" 0. (Processor.idle_rate sleepy);
+  check_float 0. "awake floor = s_min" 0.3 (Processor.speed_floor awake);
+  (* the closed-form critical speed (0.08 / 3.04)^(1/3) ~ 0.297 lies
+     below s_min, so the projected critical speed is s_min too *)
+  check_float 0. "sleeper floor = projected critical speed"
+    (Processor.critical_speed sleepy)
+    (Processor.speed_floor sleepy);
+  let levels =
+    Processor.xscale_levels
+      ~dormancy:(Processor.Dormant_enable { t_sw = 0.; e_sw = 0. })
+  in
+  check_float 0. "level floor = most efficient level"
+    (Processor.critical_speed levels)
+    (Processor.speed_floor levels);
+  let no_leak_levels = Processor.uniform_levels ~n:4 () in
+  check_float 0. "awake level floor = bottom level" 0.25
+    (Processor.speed_floor no_leak_levels)
+
 let () =
   Alcotest.run "rt_power"
     [
@@ -224,5 +251,6 @@ let () =
           Alcotest.test_case "critical level projection" `Quick
             test_processor_critical_speed;
           Alcotest.test_case "idle power" `Quick test_idle_power;
+          Alcotest.test_case "dormancy rules" `Quick test_dormancy_rules;
         ] );
     ]

@@ -183,12 +183,6 @@ let prop_no_single_speed_beats_plan =
             <= (u /. s *. Power_model.power proc.Processor.model s) +. 1e-9)
         (Rt_prelude.Math_util.frange ~lo:u ~hi:1. ~steps:50))
 
-let test_power_factor_scales_dynamic_term () =
-  let r1 = rate_exn cubic_disable 0.5 in
-  match Energy_rate.rate ~power_factor:2. cubic_disable ~u:0.5 with
-  | Some r2 -> check_float 1e-12 "factor 2 doubles dynamic-only rate" (2. *. r1) r2
-  | None -> Alcotest.fail "feasible"
-
 (* ------------------------------------------------------------------ *)
 (* Sync_global *)
 
@@ -345,8 +339,6 @@ let () =
             test_ideal_enable_critical_clamp;
           Alcotest.test_case "infeasible above s_max" `Quick
             test_infeasible_above_smax;
-          Alcotest.test_case "power factor" `Quick
-            test_power_factor_scales_dynamic_term;
         ] );
       ( "energy_rate_levels",
         [
