@@ -30,4 +30,8 @@ let pack ~weights ~cap ~loads ~accept ~order ~assign =
     else assign.(i) <- -1
   done
 
+let least_loaded ~weights ~cap ~loads i =
+  let bounded = not (Fc.exact_eq cap Float.infinity) in
+  feasible_scan loads (Array.length loads) ~bounded cap weights i 0 (-1)
+
 let always _ _ _ = true

@@ -22,5 +22,14 @@ val pack :
     sum in visit order. [cap = infinity] places every position (of finite
     weight) without evaluating the capacity test at all. *)
 
+val least_loaded :
+  weights:float array -> cap:float -> loads:float array -> int -> int
+  [@@rt.hot "the accept probe of every local-search move scan"]
+(** The placement probe {!pack} runs for each position, on loads the
+    caller keeps: the least-loaded processor [j] (lowest index on ties)
+    whose [loads.(j) +. weights.(i)] stays within [cap] (tolerant), or
+    [-1] if none does. Reads [loads] without changing it; boxes no
+    float. *)
+
 val always : float array -> int -> int -> bool
 (** The veto that never vetoes. *)

@@ -128,6 +128,11 @@ let idle_rate t =
   | Dormant_enable _ -> 0.
   | Dormant_disable -> idle_power t
 
+let running_leakage t =
+  match t.dormancy with
+  | Dormant_enable _ -> idle_power t
+  | Dormant_disable -> 0.
+
 let speed_floor t =
   match t.dormancy with
   | Dormant_enable _ -> critical_speed t

@@ -70,6 +70,12 @@ val idle_rate : t -> float [@rt.dim "watts"]
     (it sleeps), {!idle_power} on a dormant-disable one. Sleep-transition
     overheads are not included (see [Rt_speed.Procrastinate]). *)
 
+val running_leakage : t -> float [@rt.dim "watts"]
+(** Leakage charged while a task runs, on top of its dynamic power:
+    [p_ind] on a dormant-enable processor (it pays leakage only while
+    awake), [0.] on a dormant-disable one (its [p_ind] is charged over
+    the whole span through {!idle_rate}). *)
+
 val speed_floor : t -> float [@rt.dim "speed"]
 (** The slowest speed worth running: {!critical_speed} on a dormant-enable
     processor (running slower only stretches the awake time), [s_min] on a

@@ -291,6 +291,42 @@ let prop_leuf_matches_reference =
         (Hetero.leuf hetero_proc ~m ~horizon:1. items)
         (leuf_reference hetero_proc ~m ~horizon:1. items))
 
+(* the local-search accept probe as it was written there: capacity test
+   first, then a strict improvement on the running minimum *)
+let min_load_feasible_reference ~cap loads w =
+  let m = Array.length loads in
+  let rec scan j best_j best_l =
+    if j >= m then best_j
+    else
+      let l = loads.(j) in
+      if Fc.leq (l +. w) cap && (best_j < 0 || not (Fc.exact_le best_l l))
+      then scan (j + 1) j l
+      else scan (j + 1) best_j best_l
+  in
+  scan 0 (-1) 0.
+
+(* loads from a grid with repeats (ties), float residues just below 0
+   and exactly at the capacities; caps include the unbounded one *)
+let probe_load_grid =
+  QCheck2.Gen.oneofl [ 0.; 0.; -1e-17; 0.1; 0.3; 0.3; 0.55; 0.7; 0.9; 1. ]
+
+let prop_least_loaded_matches_reference =
+  qtest ~count:1000 "Ltf.least_loaded = local-search min_load_feasible"
+    QCheck2.Gen.(
+      triple
+        (array_size (int_range 1 7) probe_load_grid)
+        (array_size (int_range 1 4) weight_grid)
+        (oneofl [ 1.; 1.; 0.8; 1.2; Float.infinity ]))
+    (fun (loads, weights, cap) ->
+      let before = Array.copy loads in
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun i w ->
+             Rt_partition.Ltf.least_loaded ~weights ~cap ~loads i
+             = min_load_feasible_reference ~cap loads w)
+           weights)
+      && Array.for_all2 same_bits before loads)
+
 (* ------------------------------------------------------------------ *)
 (* Reference: QoS degradation over item lists, re-packed per probe *)
 
@@ -754,6 +790,151 @@ let check_energy_proc (name, (proc : Processor.t)) =
 
 let test_energy_kernel () = List.iter check_energy_proc energy_procs
 
+(* ------------------------------------------------------------------ *)
+(* Running leakage: the execution-energy formulas of Hetero, Rs_leuf and
+   Migration charge [Processor.running_leakage] while a task runs and
+   [Processor.idle_rate] over the span. These figures were recorded from
+   the per-module dormancy matches those formulas replaced and must stay
+   equal bit for bit. Migration is pinned only where idle leakage does
+   not enter its charge (dormant-enable, or p_ind = 0). *)
+
+let leakage_procs =
+  let ideal ~p_ind ~coeff ~alpha ~s_min dormancy =
+    Processor.make
+      ~model:(Power_model.make ~p_ind ~coeff ~alpha ())
+      ~domain:(Processor.Ideal { s_min; s_max = 1. })
+      ~dormancy
+  in
+  let s_min = ideal ~p_ind:0.1 ~coeff:1. ~alpha:2.5 ~s_min:0.25 in
+  (* name, processor, whether its migratory optimum is pinned *)
+  [
+    ("xscale enable", Processor.xscale ~dormancy:enable, true);
+    ("xscale disable", Processor.xscale ~dormancy:disable, false);
+    ("s_min enable", s_min enable, true);
+    ("s_min disable", s_min disable, false);
+    ( "no leakage enable",
+      ideal ~p_ind:0. ~coeff:1. ~alpha:3. ~s_min:0. enable,
+      true );
+    ("no leakage disable", Processor.cubic (), true);
+  ]
+
+(* every figure the running-leakage formulas feed, as floats: one
+   processor's KKT energy and time, a LEUF partition's re-optimized
+   total, RS-LEUF's and First-Fit's counts and energies, and (where the
+   migratory charge is unaffected by idle leakage) the migratory
+   optimum *)
+let leakage_observations (proc : Processor.t) ~migration ~seed =
+  let rng = Rt_prelude.Rng.create ~seed in
+  let factored = Gen.heterogeneous_power_factors rng ~lo:0.5 ~hi:2. in
+  let small = factored (Gen.items rng ~n:3 ~weight_lo:0.05 ~weight_hi:0.3) in
+  let spread = factored (Gen.items rng ~n:10 ~weight_lo:0.05 ~weight_hi:0.4) in
+  let unit_items = Gen.items rng ~n:9 ~weight_lo:0.05 ~weight_hi:0.6 in
+  let or_nan = Option.value ~default:Float.nan in
+  let kkt =
+    match Hetero.processor_speeds proc ~horizon:10. small with
+    | Some a -> [ a.Hetero.energy; a.Hetero.time_used ]
+    | None -> [ Float.nan; Float.nan ]
+  in
+  let leuf =
+    Hetero.total_energy proc ~horizon:10.
+      (Hetero.leuf proc ~m:3 ~horizon:10. spread)
+  in
+  let budget =
+    0.6 *. Taskset.total_weight unit_items *. 1000.
+    *. Power_model.energy_per_cycle proc.Processor.model 1.
+  in
+  let alloc = function
+    | Ok (o : Rt_alloc.Rs_leuf.outcome) ->
+        [ float_of_int o.processors; o.energy ]
+    | Error _ -> [ Float.nan; Float.nan ]
+  in
+  let mig =
+    if migration then
+      [
+        or_nan
+          (Migration.energy_lower_bound ~proc ~m:4 ~frame:10. unit_items);
+      ]
+    else []
+  in
+  kkt @ [ or_nan leuf ]
+  @ alloc (Rt_alloc.Rs_leuf.rs_leuf ~proc ~frame:1000. ~budget unit_items)
+  @ alloc (Rt_alloc.Rs_leuf.first_fit ~proc ~frame:1000. ~budget unit_items)
+  @ mig
+
+(* (processor, seed, figures); the rows of dormant-disable processors
+   with leakage carry no migratory figure *)
+let leakage_expected =
+  [
+    ( "xscale enable", 3,
+      [ 0x1.5596a5057b861p+3; 0x1.400000000062ep+3; 0x1.70964a1dc02d4p+4;
+        0x1.4p+2; 0x1.6fc0ecc7c9185p+10; 0x1.4p+2;
+        0x1.eea23815cee6ep+10; 0x1.3c90c7bc0989ap+4 ] );
+    ( "xscale enable", 17,
+      [ 0x1.0dfcebb5ba2abp+2; 0x1.3ffffffffef45p+3; 0x1.dc9b6e04a5562p+4;
+        0x1.8p+2; 0x1.032fcafeb45b4p+11; 0x1.8p+2;
+        0x1.46dd53dd963c1p+11; 0x1.2e76ed772ed85p+5 ] );
+    ( "xscale disable", 3,
+      [ 0x1.3bfd0b6be1e49p+3; 0x1.400000000062ep+3; 0x1.70964a1dc030cp+4;
+        0x1.4p+2; 0x1.6fc0ecc7c8f2ap+10; 0x1.4p+2;
+        0x1.01511c0ae78a8p+11 ] );
+    ( "xscale disable", 17,
+      [ 0x1.b59371050e44bp+1; 0x1.3ffffffffef45p+3; 0x1.dc9b6e04a55abp+4;
+        0x1.8p+2; 0x1.032fcafeb4683p+11; 0x1.8p+2;
+        0x1.50dd53dd963f8p+11 ] );
+    ( "s_min enable", 3,
+      [ 0x1.05e1759983accp+3; 0x1.400000000047ap+3; 0x1.2f40261f09994p+4;
+        0x1.8p+2; 0x1.571aaf2513fc5p+10; 0x1.8p+2;
+        0x1.6fd4f82b38d62p+10; 0x1.18c928bebc2a9p+4 ] );
+    ( "s_min enable", 17,
+      [ 0x1.fce4fcffe5d26p+1; 0x1.4000000000f62p+3; 0x1.763f4bab496f8p+4;
+        0x1.cp+2; 0x1.c62d2fdd3ea74p+10; 0x1p+3;
+        0x1.eabb7c432ab2ap+10; 0x1.d02acce144e2dp+4 ] );
+    ( "s_min disable", 3,
+      [ 0x1.cbc2eb33074b2p+2; 0x1.400000000047ap+3; 0x1.2f40261f097fcp+4;
+        0x1.8p+2; 0x1.571aaf251423bp+10; 0x1.8p+2;
+        0x1.88d4f82b38c2ap+10 ] );
+    ( "s_min disable", 17,
+      [ 0x1.7ce4fcffe57p+1; 0x1.4000000000f62p+3; 0x1.763f4bab49712p+4;
+        0x1.cp+2; 0x1.c62d2fdd3ebe2p+10; 0x1p+3;
+        0x1.0e5dbe21957dep+11 ] );
+    ( "no leakage enable", 3,
+      [ 0x1.9fc6377300ce6p+2; 0x1.400000000062ep+3; 0x1.b274e84217d45p+3;
+        0x1.4p+2; 0x1.604eb0d0faee6p+9; 0x1.4p+2;
+        0x1.10c909f3668dcp+10; 0x1.5d2a4a2d5011ap+3 ] );
+    ( "no leakage enable", 17,
+      [ 0x1.1fe1003ff52d3p+1; 0x1.3ffffffffef45p+3; 0x1.204b4f1e00ff1p+4;
+        0x1.8p+2; 0x1.061676e3592acp+10; 0x1.8p+2;
+        0x1.6c4ba43e82538p+10; 0x1.6c4ba43e80f3ep+4 ] );
+    ( "no leakage disable", 3,
+      [ 0x1.9fc6377300ce6p+2; 0x1.400000000062ep+3; 0x1.b274e84217d45p+3;
+        0x1.4p+2; 0x1.604eb0d0faee6p+9; 0x1.4p+2;
+        0x1.10c909f3668dcp+10; 0x1.5d2a4a2d5011ap+3 ] );
+    ( "no leakage disable", 17,
+      [ 0x1.1fe1003ff52d3p+1; 0x1.3ffffffffef45p+3; 0x1.204b4f1e00ff1p+4;
+        0x1.8p+2; 0x1.061676e3592acp+10; 0x1.8p+2;
+        0x1.6c4ba43e82538p+10; 0x1.6c4ba43e80f3ep+4 ] );
+  ]
+
+let test_leakage_pinned () =
+  List.iter
+    (fun (name, proc, migration) ->
+      List.iter
+        (fun (name', seed, expected) ->
+          if String.equal name name' then begin
+            let got = leakage_observations proc ~migration ~seed in
+            if List.length got <> List.length expected then
+              Alcotest.failf "%s seed %d: %d figures, expected %d" name seed
+                (List.length got) (List.length expected);
+            List.iteri
+              (fun k (g, e) ->
+                if not (same_bits g e) then
+                  Alcotest.failf "%s seed %d figure %d: %h, expected %h" name
+                    seed k g e)
+              (List.combine got expected)
+          end)
+        leakage_expected)
+    leakage_procs
+
 let () =
   Alcotest.run "kernels"
     [
@@ -768,6 +949,7 @@ let () =
           prop_ltf_matches_reference;
           prop_leuf_matches_reference;
           prop_qos_matches_reference;
+          prop_least_loaded_matches_reference;
         ] );
       ( "yds",
         [
@@ -782,5 +964,10 @@ let () =
         [
           Alcotest.test_case "prepare_energy = optimal rate, bit for bit" `Quick
             test_energy_kernel;
+        ] );
+      ( "leakage",
+        [
+          Alcotest.test_case "Hetero, Rs_leuf, Migration figures pinned" `Quick
+            test_leakage_pinned;
         ] );
     ]

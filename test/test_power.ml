@@ -225,6 +225,31 @@ let test_dormancy_rules () =
   check_float 0. "awake level floor = bottom level" 0.25
     (Processor.speed_floor no_leak_levels)
 
+let test_running_leakage () =
+  let make dormancy =
+    Processor.make ~model:xscale
+      ~domain:(Processor.Ideal { s_min = 0.; s_max = 1. })
+      ~dormancy
+  in
+  let awake = make Processor.Dormant_disable in
+  let sleepy = make (Processor.Dormant_enable { t_sw = 1.; e_sw = 0.5 }) in
+  (* exactly one of the two rules charges p_ind: while running on a
+     sleeper, while idle on an always-awake processor *)
+  check_float 0. "sleeper leaks while running" 0.08
+    (Processor.running_leakage sleepy);
+  check_float 0. "awake processor: none extra while running" 0.
+    (Processor.running_leakage awake);
+  List.iter
+    (fun p ->
+      check_float 0. "running + idle leakage = p_ind" (Processor.idle_power p)
+        (Processor.running_leakage p +. Processor.idle_rate p))
+    [
+      awake;
+      sleepy;
+      Processor.xscale_levels ~dormancy:Processor.Dormant_disable;
+      Processor.cubic ~p_ind:0.1 ();
+    ]
+
 let () =
   Alcotest.run "rt_power"
     [
@@ -252,5 +277,6 @@ let () =
             test_processor_critical_speed;
           Alcotest.test_case "idle power" `Quick test_idle_power;
           Alcotest.test_case "dormancy rules" `Quick test_dormancy_rules;
+          Alcotest.test_case "running leakage" `Quick test_running_leakage;
         ] );
     ]
