@@ -11,7 +11,9 @@ open Rt_task
    moves, so [renormalize] rebuilds both arrays from scratch every
    [renorm_every] applied moves — in the same newest-first summation order
    as [Partition.of_buckets], keeping the state exactly equal to a
-   from-scratch [Solution.cost] re-evaluation. *)
+   from-scratch [Solution.cost] re-evaluation. One extra bucket, index
+   [m], holds the rejected positions the same way (scanning it top-down
+   follows the solution's rejected list); it has no load. *)
 type state = {
   m : int;
   soa : Problem.soa;
@@ -19,7 +21,6 @@ type state = {
   blen : int array;
   loads : float array;
   energies : float array;
-  mutable rejected : Task.item list;
 }
 
 let push st j pos =
@@ -52,10 +53,13 @@ let state_of_solution (p : Problem.t) (s : Solution.t) =
     Hashtbl.find soa.Problem.index_of it.item_id
   in
   let bidx =
-    Array.init m (fun j ->
-        (* bucket lists are newest first; store oldest first *)
-        Array.of_list
-          (List.rev_map position_of (Rt_partition.Partition.bucket s.partition j)))
+    Array.init (m + 1) (fun j ->
+        let items =
+          if j < m then Rt_partition.Partition.bucket s.partition j
+          else s.rejected
+        in
+        (* the lists are newest first; store oldest first *)
+        Array.of_list (List.rev_map position_of items))
   in
   let loads = Rt_partition.Partition.loads s.partition in
   {
@@ -65,7 +69,6 @@ let state_of_solution (p : Problem.t) (s : Solution.t) =
     blen = Array.map Array.length bidx;
     loads;
     energies = Array.map soa.Problem.energy loads;
-    rejected = s.rejected;
   }
 
 (* rebuild one bucket's newest-first list representation; the conses are
@@ -83,7 +86,7 @@ let solution_of_state st =
   let buckets = Array.init st.m (fun j -> build_bucket_list st j 0 []) in
   {
     Solution.partition = Rt_partition.Partition.of_buckets buckets;
-    rejected = st.rejected;
+    rejected = build_bucket_list st st.m 0 [];
   }
 
 (* newest-first summation, the order [Partition.of_buckets] uses, so a
@@ -156,48 +159,39 @@ let improve_state ~max_moves (p : Problem.t) (s : Solution.t) =
         let pos = st.bidx.(j).(i) in
         apply_remove j i (weight pos);
         refresh j;
-        st.rejected <- soa.Problem.item_arr.(pos) :: st.rejected;
+        push st m pos;
         true
     | None -> false
-  in
-
-  let min_load_feasible w =
-    let rec scan j best_j best_l =
-      if j >= m then if best_j < 0 then None else Some best_j
-      else
-        let l = st.loads.(j) in
-        if fits l w && (best_j < 0 || not (Fc.exact_le best_l l)) then
-          scan (j + 1) j l
-        else scan (j + 1) best_j best_l
-    in
-    scan 0 (-1) 0.
   in
 
   let try_accept () =
-    let pick =
-      List.find_map
-        (fun (it : Task.item) ->
-          match min_load_feasible it.weight with
-          | None -> None
-          | Some j ->
-              let marginal =
-                energy (st.loads.(j) +. it.weight) -. st.energies.(j)
-              in
-              if Fc.exact_gt (it.item_penalty -. marginal) eps then
-                Some (it, j)
-              else None)
-        st.rejected
+    (* first rejected item (newest first) whose acceptance on the
+       least-loaded processor it fits pays: saved penalty beats its
+       marginal energy *)
+    let rec find i =
+      if i < 0 then false
+      else begin
+        let pos = st.bidx.(m).(i) in
+        let j =
+          Rt_partition.Ltf.least_loaded ~weights:soa.Problem.weights ~cap
+            ~loads:st.loads pos
+        in
+        if
+          j >= 0
+          && Fc.exact_gt
+               (soa.Problem.penalties.(pos)
+               -. (energy (st.loads.(j) +. weight pos) -. st.energies.(j)))
+               eps
+        then begin
+          remove_at st m i;
+          apply_add j pos (weight pos);
+          refresh j;
+          true
+        end
+        else find (i - 1)
+      end
     in
-    match pick with
-    | None -> false
-    | Some (it, j) ->
-        st.rejected <-
-          List.filter
-            (fun (x : Task.item) -> x.item_id <> it.item_id)
-            st.rejected;
-        apply_add j (Hashtbl.find soa.Problem.index_of it.item_id) it.weight;
-        refresh j;
-        true
+    find (st.blen.(m) - 1)
   in
 
   (* relocation gain of moving the item at position [pos] from processor
@@ -382,7 +376,7 @@ module Drift_test = struct
     (* same association as [Solution.cost]: left fold over buckets, then
        the penalty sum *)
     let energy_total = Array.fold_left ( +. ) 0. st.energies in
-    energy_total +. Taskset.total_penalty_items st.rejected
+    energy_total +. Taskset.total_penalty_items (build_bucket_list st st.m 0 [])
 
   let solution { st; _ } = solution_of_state st
 end
