@@ -2,11 +2,10 @@ open Rt_task
 
 type outcome = { processors : int; energy : float }
 
-(* energy of the pooled estimate: execution at s_i = c_i / t_i, leakage
-   charged while awake (dormant-enable) or for the whole span per
-   processor (dormant-disable, added by callers when comparing builds of
-   equal processor counts — both algorithms here report execution energy
-   plus per-processor awake overhead) *)
+(* energy of the pooled estimate: execution at s_i = c_i / t_i, with the
+   processor's running leakage while each task runs. A dormant-disable
+   processor's leakage is charged for the whole frame per processor
+   instead: both algorithms here report this plus [awake_overhead] *)
 let estimate_energy (proc : Rt_power.Processor.t) ~frame items times =
   List.fold_left
     (fun acc (it : Task.item) ->
@@ -15,15 +14,9 @@ let estimate_energy (proc : Rt_power.Processor.t) ~frame items times =
       | Some t ->
           let cycles = it.weight *. frame in
           let s = cycles /. t in
-          let leak =
-            match proc.dormancy with
-            | Rt_power.Processor.Dormant_enable _ ->
-                proc.model.Rt_power.Power_model.p_ind
-            | Rt_power.Processor.Dormant_disable -> 0.
-          in
           acc
           +. (t
-             *. (leak
+             *. (Rt_power.Processor.running_leakage proc
                 +. Rt_power.Power_model.dynamic_power proc.model s)))
     0. items
 

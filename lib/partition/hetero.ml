@@ -45,16 +45,11 @@ let speed_at (proc : Processor.t) k job =
 let time_at proc k jobs =
   List.fold_left (fun acc j -> acc +. (j.cycles /. speed_at proc k j)) 0. jobs
 
-(* energy charged while executing (dormant-enable pays leakage only while
-   awake; dormant-disable's constant awake cost is accounted separately) *)
+(* energy charged while executing; a dormant-disable processor's leakage
+   is charged over the whole horizon instead, by [total_energy] *)
 let exec_energy (proc : Processor.t) job s =
   let dyn = Power_model.dynamic_power (factored proc.model job.factor) s in
-  let leak =
-    match proc.dormancy with
-    | Processor.Dormant_enable _ -> proc.model.Power_model.p_ind
-    | Processor.Dormant_disable -> 0.
-  in
-  job.cycles /. s *. (leak +. dyn)
+  job.cycles /. s *. (Processor.running_leakage proc +. dyn)
 
 let solve_jobs (proc : Processor.t) ~time_budget jobs =
   match jobs with
@@ -99,9 +94,6 @@ let processor_speeds (proc : Processor.t) ~horizon items =
       items
   in
   solve_jobs proc ~time_budget:horizon jobs
-
-let awake_overhead (proc : Processor.t) ~horizon =
-  Processor.idle_rate proc *. horizon
 
 let estimated_times (proc : Processor.t) ~m ~horizon items =
   check_proc proc;
@@ -173,6 +165,6 @@ let total_energy (proc : Processor.t) ~horizon p =
       match processor_speeds proc ~horizon (Partition.bucket p j) with
       | None -> None
       | Some { energy; _ } ->
-          go (j + 1) (acc +. energy +. awake_overhead proc ~horizon)
+          go (j + 1) (acc +. energy +. (Processor.idle_rate proc *. horizon))
   in
   go 0 0.

@@ -25,9 +25,10 @@ type speed_assignment = {
   speeds : (int * float) list;  (** item id → execution speed *)
   time_used : float;  (** Σ c_i / s_i, <= the horizon *)
   energy : float;
-      (** execution energy; for dormant-disable processors the caller must
-          add the constant [p_ind · H] awake cost separately via
-          {!awake_overhead} *)
+      (** execution energy: {!Rt_power.Processor.running_leakage} plus
+          dynamic power while each item runs. A dormant-disable
+          processor's leakage is not in it: the caller adds
+          [Processor.idle_rate proc *. horizon] ({!total_energy} does) *)
 }
 
 val processor_speeds :
@@ -38,11 +39,6 @@ val processor_speeds :
     against this same horizon (cycles [= weight·horizon]).
     @raise Invalid_argument on [horizon <= 0], a model with a linear term,
     or a non-ideal (discrete-level) processor. *)
-
-val awake_overhead : Rt_power.Processor.t -> horizon:float -> float
-(** [p_ind · horizon] for dormant-disable processors, [0.] for
-    dormant-enable (which sleep when idle; transition overheads are out of
-    scope here, see {!Rt_speed.Procrastinate}). *)
 
 val estimated_times :
   Rt_power.Processor.t -> m:int -> horizon:float -> Rt_task.Task.item list ->

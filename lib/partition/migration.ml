@@ -10,17 +10,9 @@ type schedule = {
 }
 
 let exec_energy (proc : Rt_power.Processor.t) ~cycles ~speed =
-  let leak =
-    match proc.dormancy with
-    | Rt_power.Processor.Dormant_enable _ ->
-        proc.model.Rt_power.Power_model.p_ind
-    | Rt_power.Processor.Dormant_disable -> 0.
-  in
   cycles /. speed
-  *. (leak +. Rt_power.Power_model.dynamic_power proc.model speed)
-
-let idle_energy (proc : Rt_power.Processor.t) ~idle =
-  idle *. Rt_power.Processor.idle_rate proc
+  *. (Rt_power.Processor.running_leakage proc
+     +. Rt_power.Power_model.dynamic_power proc.model speed)
 
 let optimal ~(proc : Rt_power.Processor.t) ~m ~frame items =
   if m < 1 then Error "Migration.optimal: m < 1"
@@ -115,7 +107,8 @@ let optimal ~(proc : Rt_power.Processor.t) ~m ~frame items =
                   acc +. exec_energy proc ~cycles:(it.weight *. frame) ~speed:s
               | None -> acc)
             0. items
-          +. idle_energy proc ~idle:((float_of_int m *. frame) -. busy)
+          +. (Rt_power.Processor.idle_rate proc
+             *. ((float_of_int m *. frame) -. busy))
         in
         Ok { speeds; slices = List.rev !slices; energy }
       end
@@ -207,7 +200,7 @@ let validate ?(eps = 1e-6) ~(proc : Rt_power.Processor.t) ~m ~frame items sch =
         | Some s -> acc +. exec_energy proc ~cycles:(it.weight *. frame) ~speed:s
         | None -> acc)
       0. items
-    +. idle_energy proc ~idle:((float_of_int m *. frame) -. busy)
+    +. (Rt_power.Processor.idle_rate proc *. ((float_of_int m *. frame) -. busy))
   in
   if Rt_prelude.Float_cmp.approx_eq ~eps expected sch.energy then Ok ()
   else Error "energy disagrees with the busy/idle integral"
