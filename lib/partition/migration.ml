@@ -27,7 +27,13 @@ let optimal ~(proc : Rt_power.Processor.t) ~m ~frame items =
       (fun (i : Task.item) -> not (Fc.exact_eq i.item_power_factor 1.))
       items
   then Error "Migration.optimal: non-unit power factors"
-  else if items = [] then Ok { speeds = []; slices = []; energy = 0. }
+  else if items = [] then
+    Ok
+      {
+        speeds = [];
+        slices = [];
+        energy = Rt_power.Processor.idle_rate proc *. (float_of_int m *. frame);
+      }
   else begin
     let s_max = Rt_power.Processor.s_max proc in
     let total = Taskset.total_weight items in
@@ -90,15 +96,8 @@ let optimal ~(proc : Rt_power.Processor.t) ~m ~frame items =
       if !overflow then
         Error "Migration.optimal: internal overflow in the wrap-around fill"
       else begin
-        let busy =
-          List.fold_left
-            (fun acc (_, t) -> acc +. t)
-            0.
-            (List.filter
-               (fun (id, _) ->
-                 List.exists (fun (i : Task.item) -> i.item_id = id) items)
-               times)
-        in
+        (* a dormant-disable processor leaks for the whole frame, busy or
+           idle; running leakage covers the dormant-enable case *)
         let energy =
           List.fold_left
             (fun acc (it : Task.item) ->
@@ -107,8 +106,7 @@ let optimal ~(proc : Rt_power.Processor.t) ~m ~frame items =
                   acc +. exec_energy proc ~cycles:(it.weight *. frame) ~speed:s
               | None -> acc)
             0. items
-          +. (Rt_power.Processor.idle_rate proc
-             *. ((float_of_int m *. frame) -. busy))
+          +. (Rt_power.Processor.idle_rate proc *. (float_of_int m *. frame))
         in
         Ok { speeds; slices = List.rev !slices; energy }
       end
@@ -190,9 +188,6 @@ let validate ?(eps = 1e-6) ~(proc : Rt_power.Processor.t) ~m ~frame items sch =
       (Ok ())
       (Rt_prelude.Math_util.range 0 (m - 1))
   in
-  let busy =
-    List.fold_left (fun a s -> a +. (s.t1 -. s.t0)) 0. sch.slices
-  in
   let expected =
     List.fold_left
       (fun acc (it : Task.item) ->
@@ -200,10 +195,10 @@ let validate ?(eps = 1e-6) ~(proc : Rt_power.Processor.t) ~m ~frame items sch =
         | Some s -> acc +. exec_energy proc ~cycles:(it.weight *. frame) ~speed:s
         | None -> acc)
       0. items
-    +. (Rt_power.Processor.idle_rate proc *. ((float_of_int m *. frame) -. busy))
+    +. (Rt_power.Processor.idle_rate proc *. (float_of_int m *. frame))
   in
   if Rt_prelude.Float_cmp.approx_eq ~eps expected sch.energy then Ok ()
-  else Error "energy disagrees with the busy/idle integral"
+  else Error "energy disagrees with the execution and leakage charge"
 
 let energy_lower_bound ~proc ~m ~frame items =
   match optimal ~proc ~m ~frame items with

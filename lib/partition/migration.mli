@@ -46,7 +46,13 @@ val optimal :
     ([total/m > s_max] or some [w_i > s_max]), on [m < 1] or
     [frame <= 0], duplicate ids, non-unit power factors, or a
     discrete-level processor. An empty item list yields an all-idle
-    schedule. *)
+    schedule.
+
+    The energy is each task's execution energy at its speed (dynamic
+    power plus {!Rt_power.Processor.running_leakage}) plus
+    [Processor.idle_rate proc *. m *. frame]: a dormant-disable processor
+    pays [p_ind] for the whole frame whether it runs or idles, a
+    dormant-enable one only while it runs. *)
 
 val validate :
   ?eps:float -> proc:Rt_power.Processor.t -> m:int -> frame:float ->
@@ -54,8 +60,8 @@ val validate :
 (** Independent re-check: every task's slices sum to its execution time
     at its speed, no task overlaps itself in time (the wrap-around
     invariant), no processor is double-booked, speeds are feasible and at
-    least the task's required speed, and the energy matches the busy/idle
-    integral. *)
+    least the task's required speed, and the energy matches the same
+    execution-plus-leakage charge {!optimal} reports. *)
 
 val energy_lower_bound :
   proc:Rt_power.Processor.t -> m:int -> frame:float ->

@@ -277,6 +277,31 @@ let test_migration_empty () =
   | Ok s -> check_float 1e-12 "empty is free" 0. s.Migration.energy
   | Error e -> Alcotest.fail e
 
+(* A dormant-disable processor pays p_ind for the whole frame, busy time
+   included: one item of weight 0.5 on one cubic processor with p_ind 0.1
+   runs at 0.5 for the whole frame, 0.125 dynamic + 0.1 leakage. *)
+let test_migration_dormant_disable_leakage () =
+  let leaky = Rt_power.Processor.cubic ~p_ind:0.1 () in
+  let items = items_of [ 0.5 ] in
+  (match Migration.optimal ~proc:leaky ~m:1 ~frame:1. items with
+  | Error e -> Alcotest.fail e
+  | Ok s ->
+      check_float 1e-12 "busy time pays leakage" 0.225 s.Migration.energy;
+      (match Rt_speed.Energy_rate.energy leaky ~u:0.5 ~horizon:1. with
+      | Some e -> check_float 1e-12 "= Energy_rate" e s.Migration.energy
+      | None -> Alcotest.fail "Energy_rate: infeasible");
+      (match Hetero.processor_speeds leaky ~horizon:1. items with
+      | Some a ->
+          check_float 1e-12 "= Hetero plus the awake charge"
+            (a.Hetero.energy +. (Rt_power.Processor.idle_rate leaky *. 1.))
+            s.Migration.energy
+      | None -> Alcotest.fail "Hetero: infeasible");
+      check_bool "validates" true
+        (Migration.validate ~proc:leaky ~m:1 ~frame:1. items s = Ok ()));
+  match Migration.optimal ~proc:leaky ~m:3 ~frame:2. [] with
+  | Ok s -> check_float 1e-12 "idle processors leak" 0.6 s.Migration.energy
+  | Error e -> Alcotest.fail e
+
 let prop_migration_wraparound_valid =
   qtest "wrap-around schedules validate on random feasible instances"
     QCheck2.Gen.(
@@ -354,6 +379,8 @@ let () =
           Alcotest.test_case "dominant task" `Quick test_migration_dominant_task;
           Alcotest.test_case "infeasible" `Quick test_migration_infeasible;
           Alcotest.test_case "empty" `Quick test_migration_empty;
+          Alcotest.test_case "dormant-disable leakage" `Quick
+            test_migration_dormant_disable_leakage;
           prop_migration_wraparound_valid;
           prop_migration_lower_bounds_partition;
         ] );
