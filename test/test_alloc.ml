@@ -179,42 +179,136 @@ let test_budget_unreachable () =
        (Rs_leuf.pooled_min_processors ~proc:leaky_ideal ~frame:1000.
           ~budget:0.001 items))
 
-let prop_rs_leuf_never_more_processors_than_ff =
-  qtest "RS-LEUF allocates at most as many processors as First-Fit"
+(* the random instance of the RS-LEUF properties: 3-14 items of weight
+   0.05-0.6 drawn from [seed], and a budget of [gamma] times their energy
+   at top speed *)
+let alloc_instance ~seed ~gamma =
+  let rng = Rt_prelude.Rng.create ~seed in
+  let n = Rt_prelude.Rng.int rng ~lo:3 ~hi:14 in
+  let items =
+    List.mapi
+      (fun id w -> Rt_task.Task.item ~id ~weight:w ())
+      (List.init n (fun _ -> Rt_prelude.Rng.float rng ~lo:0.05 ~hi:0.6))
+  in
+  let budget =
+    let e_fast =
+      List.fold_left
+        (fun acc (it : Rt_task.Task.item) ->
+          acc
+          +. (it.Rt_task.Task.weight *. 1000.
+             *. Rt_power.Power_model.energy_per_cycle
+                  (Rt_power.Power_model.make ~p_ind:0.08 ~coeff:1.52
+                     ~alpha:3. ())
+                  1.))
+        0. items
+    in
+    gamma *. e_fast
+  in
+  (items, budget)
+
+(* RS-LEUF's own test at [m] processors, written out over lists: the
+   estimated utilizations packed largest first (input order on ties), each
+   onto the least-loaded processor with room under unit capacity (lowest
+   index on ties). [`Left_out] when some item finds no room, else the
+   per-processor re-optimized energy plus the awake overhead ([None] when
+   a processor cannot meet the frame). *)
+let leuf_at ~proc ~frame ~m items times =
+  let sorted =
+    List.stable_sort
+      (fun (_, a) (_, b) -> Float.compare b a)
+      (List.map
+         (fun (it : Rt_task.Task.item) ->
+           (it, List.assoc it.item_id times /. frame))
+         items)
+  in
+  let loads = Array.make m 0. and buckets = Array.make m [] in
+  let place (it, u) =
+    let best = ref (-1) in
+    Array.iteri
+      (fun j l ->
+        if Fc.leq (l +. u) 1. && (!best < 0 || Fc.exact_lt l loads.(!best))
+        then best := j)
+      loads;
+    if !best >= 0 then begin
+      loads.(!best) <- loads.(!best) +. u;
+      buckets.(!best) <- it :: buckets.(!best)
+    end;
+    !best >= 0
+  in
+  if not (List.for_all place sorted) then `Left_out
+  else
+    `Energy
+      (Option.map
+         (fun e ->
+           e
+           +. (float_of_int m *. frame *. Rt_power.Processor.idle_rate proc))
+         (Array.fold_left
+            (fun acc bucket ->
+              match acc with
+              | None -> None
+              | Some e when bucket = [] -> Some e
+              | Some e ->
+                  Option.map
+                    (fun a -> e +. a.Rt_partition.Hetero.energy)
+                    (Rt_partition.Hetero.processor_speeds proc ~horizon:frame
+                       bucket))
+            (Some 0.) buckets))
+
+(* RS-LEUF need not beat First-Fit's count (see the pinned case below);
+   what it guarantees is to meet the budget, to succeed whenever First-Fit
+   does, and to stop at the first count its own test accepts *)
+let prop_rs_leuf_guarantees =
+  qtest "RS-LEUF: within budget, succeeds with FF, minimal by its rule"
     QCheck2.Gen.(pair (int_range 1 2000) (float_range 0.3 0.9))
     (fun (seed, gamma) ->
-      let rng = Rt_prelude.Rng.create ~seed in
-      let n = Rt_prelude.Rng.int rng ~lo:3 ~hi:14 in
-      let items =
-        List.mapi
-          (fun id w -> Rt_task.Task.item ~id ~weight:w ())
-          (List.init n (fun _ -> Rt_prelude.Rng.float rng ~lo:0.05 ~hi:0.6))
-      in
-      (* budget between the loosest and a tight-but-feasible level *)
-      let budget =
-        let e_fast =
-          List.fold_left
-            (fun acc (it : Rt_task.Task.item) ->
-              acc
-              +. (it.Rt_task.Task.weight *. 1000.
-                 *. Rt_power.Power_model.energy_per_cycle
-                      (Rt_power.Power_model.make ~p_ind:0.08 ~coeff:1.52
-                         ~alpha:3. ())
-                      1.))
-            0. items
-        in
-        gamma *. e_fast
-      in
+      let items, budget = alloc_instance ~seed ~gamma in
+      let frame = 1000. and proc = leaky_ideal in
       match
-        ( Rs_leuf.first_fit ~proc:leaky_ideal ~frame:1000. ~budget items,
-          Rs_leuf.rs_leuf ~proc:leaky_ideal ~frame:1000. ~budget items )
+        ( Rs_leuf.first_fit ~proc ~frame ~budget items,
+          Rs_leuf.rs_leuf ~proc ~frame ~budget items )
       with
-      | Ok ff, Ok rs ->
-          rs.Rs_leuf.processors <= ff.Rs_leuf.processors
-          && Fc.leq ~eps:1e-6 rs.Rs_leuf.energy budget
+      | Ok _, Error _ -> false
       | Error _, Error _ -> true
-      | Ok _, Error _ -> false (* RS-LEUF must succeed whenever FF does *)
-      | Error _, Ok _ -> true)
+      | _, Ok rs -> (
+          Fc.leq ~eps:1e-6 rs.Rs_leuf.energy budget
+          &&
+          match Rs_leuf.pooled_min_processors ~proc ~frame ~budget items with
+          | Error _ -> false
+          | Ok (m_star, times) -> (
+              let below = rs.Rs_leuf.processors - 1 in
+              rs.Rs_leuf.processors >= m_star
+              && (below < max 1 m_star
+                 ||
+                 match leuf_at ~proc ~frame ~m:below items times with
+                 | `Left_out | `Energy None -> true
+                 | `Energy (Some e) -> Fc.gt e budget))))
+
+(* Seed 138, gamma 0.42: nine items whose estimated utilizations sum to
+   5.0. Largest-first least-loaded packing leaves one out on 5 and 6
+   processors and fits on 7; First-Fit in input order fits them on 6. *)
+let test_rs_leuf_above_first_fit () =
+  let items, budget = alloc_instance ~seed:138 ~gamma:0.42 in
+  let frame = 1000. and proc = leaky_ideal in
+  check_int "nine items" 9 (List.length items);
+  (match Rs_leuf.pooled_min_processors ~proc ~frame ~budget items with
+  | Error e -> Alcotest.fail e
+  | Ok (m_star, times) ->
+      check_float 1e-9 "estimated utilizations sum to 5" 5.
+        (List.fold_left (fun acc (_, t) -> acc +. (t /. frame)) 0. times);
+      check_int "m*" 5 m_star;
+      List.iter
+        (fun m ->
+          check_bool
+            (Printf.sprintf "LTF leaves an item out on %d" m)
+            true
+            (leuf_at ~proc ~frame ~m items times = `Left_out))
+        [ 5; 6 ]);
+  (match Rs_leuf.first_fit ~proc ~frame ~budget items with
+  | Ok ff -> check_int "First-Fit" 6 ff.Rs_leuf.processors
+  | Error e -> Alcotest.fail e);
+  match Rs_leuf.rs_leuf ~proc ~frame ~budget items with
+  | Ok rs -> check_int "RS-LEUF" 7 rs.Rs_leuf.processors
+  | Error e -> Alcotest.fail e
 
 let test_rs_leuf_respects_budget () =
   let items = items_of [ 0.3; 0.25; 0.2; 0.15; 0.1 ] in
@@ -250,7 +344,9 @@ let () =
         [
           Alcotest.test_case "pooled minimum" `Quick test_pooled_min_processors;
           Alcotest.test_case "budget unreachable" `Quick test_budget_unreachable;
-          prop_rs_leuf_never_more_processors_than_ff;
+          prop_rs_leuf_guarantees;
+          Alcotest.test_case "RS-LEUF above First-Fit" `Quick
+            test_rs_leuf_above_first_fit;
           Alcotest.test_case "respects budget" `Quick test_rs_leuf_respects_budget;
         ] );
     ]
