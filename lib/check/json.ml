@@ -287,7 +287,6 @@ let to_float = function
   | Int i -> Ok (float_of_int i)
   | _ -> Error "expected number"
 
-let to_bool = function Bool b -> Ok b | _ -> Error "expected bool"
 let to_str = function Str s -> Ok s | _ -> Error "expected string"
 let to_list = function List xs -> Ok xs | _ -> Error "expected list"
 

@@ -46,7 +46,6 @@ val to_int : t -> (int, string) result
 val to_float : t -> (float, string) result
 (** Accepts [Int] too (JSON does not distinguish [3] from [3.0] readers). *)
 
-val to_bool : t -> (bool, string) result
 val to_str : t -> (string, string) result
 val to_list : t -> (t list, string) result
 val pp : Format.formatter -> t -> unit

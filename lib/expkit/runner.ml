@@ -13,7 +13,4 @@ let replicate_par ~pool ~seeds ~f =
 
 let replicate ~seeds ~f = replicate_par ~pool:None ~seeds ~f
 
-let mean_over_par ~pool ~seeds ~f =
-  (replicate_par ~pool ~seeds ~f).Rt_prelude.Stats.mean
-
 let mean_over ~seeds ~f = (replicate ~seeds ~f).Rt_prelude.Stats.mean

@@ -20,8 +20,3 @@ val replicate_par :
 
 val mean_over : seeds:int list -> f:(int -> float) -> float
 (** [replicate] then the mean. *)
-
-val mean_over_par :
-  pool:Rt_parallel.Pool.t option -> seeds:int list -> f:(int -> float) ->
-  float
-(** [replicate_par] then the mean. *)

@@ -36,8 +36,6 @@ type injection = {
 let no_injection =
   { overrun = (fun _ -> 1.); crash_at = None; speed_cap = None }
 
-let feasible_speed tasks = Taskset.total_utilization tasks
-
 let build_jobs ?(overrun = fun _ -> 1.) ~horizon ~speed tasks =
   List.concat_map
     (fun (t : Task.periodic) ->

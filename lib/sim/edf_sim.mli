@@ -77,10 +77,6 @@ val run_injected :
     non-finite or negative crash time, or a non-finite or non-positive
     speed cap. *)
 
-val feasible_speed : Rt_task.Task.periodic list -> float
-(** The minimum constant speed that meets all deadlines under EDF: the
-    total utilization (0. for an empty set). *)
-
 val gantt :
   ?horizon:float -> proc:Rt_power.Processor.t -> speed:float ->
   Rt_task.Task.periodic list -> (string, string) result

@@ -68,12 +68,6 @@ let item_of_periodic (t : periodic) =
   item ~penalty:t.penalty ~power_factor:t.power_factor ~id:t.id
     ~weight:(utilization t) ()
 
-let pp_frame ppf (t : frame) =
-  Format.fprintf ppf "τ%d(c=%d, ρ=%g)" t.id t.cycles t.penalty
-
-let pp_periodic ppf (t : periodic) =
-  Format.fprintf ppf "τ%d(c=%d, p=%d, ρ=%g)" t.id t.cycles t.period t.penalty
-
 let pp_item ppf (t : item) =
   Format.fprintf ppf "ι%d(w=%g, ρ=%g)" t.item_id t.weight t.item_penalty
 
@@ -82,9 +76,6 @@ let tie_break cmp_main id_a id_b =
 
 let compare_frame_cycles_desc (a : frame) (b : frame) =
   tie_break (Int.compare b.cycles a.cycles) a.id b.id
-
-let compare_periodic_util_desc (a : periodic) (b : periodic) =
-  tie_break (Float.compare (utilization b) (utilization a)) a.id b.id
 
 let compare_item_weight_desc (a : item) (b : item) =
   tie_break (Float.compare b.weight a.weight) a.item_id b.item_id

@@ -74,15 +74,12 @@ val item :
 
 (** {1 Printers and orders} *)
 
-val pp_frame : Format.formatter -> frame -> unit
-val pp_periodic : Format.formatter -> periodic -> unit
 val pp_item : Format.formatter -> item -> unit
 
 val compare_frame_cycles_desc : frame -> frame -> int
 (** Largest cycles first; ties broken by id (ascending) so sorts are
     deterministic. *)
 
-val compare_periodic_util_desc : periodic -> periodic -> int
 val compare_item_weight_desc : item -> item -> int
 
 val distinct_ids : int list -> bool

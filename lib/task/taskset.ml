@@ -31,13 +31,8 @@ let well_formed_frame ts =
 let well_formed_periodic ts =
   check_ids (List.map (fun (t : Task.periodic) -> t.id) ts)
 
-let frame_by_id ts id = List.find_opt (fun (t : Task.frame) -> t.id = id) ts
-
 let periodic_by_id ts id =
   List.find_opt (fun (t : Task.periodic) -> t.id = id) ts
-
-let item_by_id items id =
-  List.find_opt (fun (i : Task.item) -> i.item_id = id) items
 
 let items_of_frames ~frame_length ts =
   List.map (Task.item_of_frame ~frame_length) ts
@@ -55,6 +50,4 @@ let pp_list pp_elt ppf ts =
     (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ";@ ") pp_elt)
     ts
 
-let pp_frames ppf ts = pp_list Task.pp_frame ppf ts
-let pp_periodics ppf ts = pp_list Task.pp_periodic ppf ts
 let pp_items ppf ts = pp_list Task.pp_item ppf ts
