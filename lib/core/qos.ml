@@ -55,21 +55,15 @@ type solution = {
   partition : Rt_partition.Partition.t;
 }
 
-let chosen_level tasks c =
-  match List.find_opt (fun t -> t.id = c.task_id) tasks with
-  | None -> Error "Qos: choice for a foreign task"
-  | Some t -> (
-      match List.nth_opt t.levels c.level_index with
-      | None -> Error "Qos: level index out of range"
-      | Some l -> Ok l)
-
-let penalties_of tasks choices =
-  List.fold_left
-    (fun acc c ->
-      match acc with
-      | Error _ as e -> e
-      | Ok sum -> Result.map (fun l -> sum +. l.level_penalty) (chosen_level tasks c))
-    (Ok 0.) choices
+(* the menus as arrays, in task order: per task, its level weights and
+   its level penalties. Every reader of a menu goes through this one
+   conversion *)
+let level_arrays tasks =
+  let menu f =
+    Array.of_list
+      (List.map (fun t -> Array.of_list (List.map f t.levels)) tasks)
+  in
+  (menu (fun l -> l.weight), menu (fun l -> l.level_penalty))
 
 let cost (p : Problem.t) tasks solution =
   let ( let* ) = Result.bind in
@@ -80,14 +74,33 @@ let cost (p : Problem.t) tasks solution =
     then Ok ()
     else Error "Qos.cost: choices are not one-per-task"
   in
-  let* penalty = penalties_of tasks solution.choices in
+  let lw, lp = level_arrays tasks in
+  let position = List.mapi (fun i t -> (t.id, i)) tasks in
+  (* the (task position, level index) a choice names *)
+  let chosen c =
+    match List.assoc_opt c.task_id position with
+    | None -> Error "Qos: choice for a foreign task"
+    | Some i ->
+        if c.level_index >= 0 && c.level_index < Array.length lw.(i) then
+          Ok (i, c.level_index)
+        else Error "Qos: level index out of range"
+  in
+  let* penalty =
+    List.fold_left
+      (fun acc c ->
+        let* sum = acc in
+        let* i, k = chosen c in
+        Ok (sum +. lp.(i).(k)))
+      (Ok 0.) solution.choices
+  in
   (* the partition must carry exactly the positive-weight choices *)
   let* expected =
     List.fold_left
       (fun acc c ->
         let* xs = acc in
-        let* l = chosen_level tasks c in
-        Ok (if Fc.exact_gt l.weight 0. then (c.task_id, l.weight) :: xs else xs))
+        let* i, k = chosen c in
+        let w = lw.(i).(k) in
+        Ok (if Fc.exact_gt w 0. then (c.task_id, w) :: xs else xs))
       (Ok []) solution.choices
   in
   let placed =
@@ -134,15 +147,6 @@ let validate (p : Problem.t) tasks solution =
   in
   Rt_sim.Frame_sim.validate sim
 
-(* items realizing a level-choice vector (positive weights only) *)
-let items_of_choices tasks idx =
-  List.filter_map
-    (fun t ->
-      let l = List.nth t.levels idx.(t.id) in
-      if Fc.exact_gt l.weight 0. then Some (Task.item ~id:t.id ~weight:l.weight ())
-      else None)
-    tasks
-
 (* dense index by task id; ids are arbitrary so map through an assoc *)
 let with_dense_ids tasks f =
   let ids = List.map (fun t -> t.id) tasks in
@@ -162,14 +166,9 @@ let ltf_compare weights a b =
 
 let greedy_degrade (p : Problem.t) tasks =
   with_dense_ids tasks (fun tasks back ->
-      (* the menus as arrays, converted once: per task, its level weights
-         and penalties, the chosen level and that level's weight *)
-      let menu f =
-        Array.of_list
-          (List.map (fun t -> Array.of_list (List.map f t.levels)) tasks)
-      in
-      let lw = menu (fun l -> l.weight) in
-      let lp = menu (fun l -> l.level_penalty) in
+      (* the menus as arrays, converted once; then per task the chosen
+         level and that level's weight *)
+      let lw, lp = level_arrays tasks in
       let n = Array.length lw and m = p.Problem.m in
       let idx = Array.make n 0 in
       let weights = Array.map (fun w -> w.(0)) lw in
@@ -306,37 +305,37 @@ let greedy_degrade (p : Problem.t) tasks =
 
 let exhaustive (p : Problem.t) tasks =
   with_dense_ids tasks (fun tasks back ->
-      let n = List.length tasks in
-      let arr = Array.of_list tasks in
-      let combos =
-        Array.fold_left
-          (fun acc t -> acc * List.length t.levels)
-          1 arr
-      in
+      let lw, lp = level_arrays tasks in
+      let n = Array.length lw in
+      let combos = Array.fold_left (fun acc w -> acc * Array.length w) 1 lw in
       if combos > 200_000 then
         invalid_arg "Qos.exhaustive: menu product too large";
       let idx = Array.make n 0 in
       let best = ref None in
+      (* the positive-weight choices as items, in task order, priced so
+         that the search never rejects one it can place *)
+      let rec priced i acc =
+        if i < 0 then acc
+        else
+          let w = lw.(i).(idx.(i)) in
+          priced (i - 1)
+            (if Fc.exact_gt w 0. then
+               Task.item ~penalty:1e12 ~id:i ~weight:w () :: acc
+             else acc)
+      in
       let consider () =
-        let items = items_of_choices tasks idx in
-        let priced =
-          List.map
-            (fun (it : Task.item) ->
-              Task.item ~penalty:1e12 ~id:it.item_id ~weight:it.weight ())
-            items
-        in
         let s =
           Rt_exact.Search.branch_and_bound ~m:p.Problem.m
             ~capacity:(Problem.capacity p)
-            ~bucket_cost:(Problem.bucket_energy p) priced
+            ~bucket_cost:(Problem.bucket_energy p)
+            (priced (n - 1) [])
         in
         if s.Rt_exact.Search.rejected = [] then begin
-          let penalty =
-            List.fold_left
-              (fun acc t -> acc +. (List.nth t.levels idx.(t.id)).level_penalty)
-              0. tasks
-          in
-          let total = s.Rt_exact.Search.cost +. penalty in
+          let penalty = ref 0. in
+          for i = 0 to n - 1 do
+            penalty := !penalty +. lp.(i).(idx.(i))
+          done;
+          let total = s.Rt_exact.Search.cost +. !penalty in
           match !best with
           | Some (_, _, bc) when Rt_prelude.Float_cmp.exact_le bc total -> ()
           | _ -> best := Some (Array.copy idx, s.Rt_exact.Search.partition, total)
@@ -345,11 +344,10 @@ let exhaustive (p : Problem.t) tasks =
       let rec enumerate i =
         if i = n then consider ()
         else
-          List.iteri
-            (fun li _ ->
-              idx.(i) <- li;
-              enumerate (i + 1))
-            arr.(i).levels
+          for k = 0 to Array.length lw.(i) - 1 do
+            idx.(i) <- k;
+            enumerate (i + 1)
+          done
       in
       enumerate 0;
       match !best with

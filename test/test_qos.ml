@@ -75,7 +75,16 @@ let test_cost_catches_mismatched_partition () =
   let broken =
     { s with Qos.partition = Rt_partition.Partition.empty ~m:1 }
   in
-  check_bool "mismatch caught" true (Result.is_error (Qos.cost p tasks broken))
+  check_bool "mismatch caught" true (Result.is_error (Qos.cost p tasks broken));
+  (* a level index outside the menu, on either side, is a typed error *)
+  List.iter
+    (fun k ->
+      let out = { s with Qos.choices = [ { Qos.task_id = 0; level_index = k } ] } in
+      check_bool
+        (Printf.sprintf "level %d caught" k)
+        true
+        (Result.is_error (Qos.cost p tasks out)))
+    [ -1; 2 ]
 
 let prop_exhaustive_beats_greedy =
   qtest ~count:30 "exhaustive <= greedy on random graceful menus"
