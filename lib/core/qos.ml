@@ -85,23 +85,18 @@ let cost (p : Problem.t) tasks solution =
           Ok (i, c.level_index)
         else Error "Qos: level index out of range"
   in
-  let* penalty =
+  (* the penalty sum, and the positive-weight choices the partition must
+     carry exactly *)
+  let* penalty, expected =
     List.fold_left
       (fun acc c ->
-        let* sum = acc in
-        let* i, k = chosen c in
-        Ok (sum +. lp.(i).(k)))
-      (Ok 0.) solution.choices
-  in
-  (* the partition must carry exactly the positive-weight choices *)
-  let* expected =
-    List.fold_left
-      (fun acc c ->
-        let* xs = acc in
+        let* sum, xs = acc in
         let* i, k = chosen c in
         let w = lw.(i).(k) in
-        Ok (if Fc.exact_gt w 0. then (c.task_id, w) :: xs else xs))
-      (Ok []) solution.choices
+        Ok
+          ( sum +. lp.(i).(k),
+            if Fc.exact_gt w 0. then (c.task_id, w) :: xs else xs ))
+      (Ok (0., [])) solution.choices
   in
   let placed =
     List.map

@@ -291,7 +291,7 @@ let prop_leuf_matches_reference =
         (Hetero.leuf hetero_proc ~m ~horizon:1. items)
         (leuf_reference hetero_proc ~m ~horizon:1. items))
 
-(* the local-search accept probe as it was written there: capacity test
+(* Reference: the least-loaded feasible scan with the capacity test
    first, then a strict improvement on the running minimum *)
 let min_load_feasible_reference ~cap loads w =
   let m = Array.length loads in
@@ -793,10 +793,11 @@ let test_energy_kernel () = List.iter check_energy_proc energy_procs
 (* ------------------------------------------------------------------ *)
 (* Running leakage: the execution-energy formulas of Hetero, Rs_leuf and
    Migration charge [Processor.running_leakage] while a task runs and
-   [Processor.idle_rate] over the span. These figures were recorded from
-   the per-module dormancy matches those formulas replaced and must stay
-   equal bit for bit. Migration is pinned only where idle leakage does
-   not enter its charge (dormant-enable, or p_ind = 0). *)
+   [Processor.idle_rate] over the span. The figures below pin their float
+   operations bit for bit, on both dormancies. Migration is pinned only
+   where idle leakage does not enter its charge (dormant-enable, or
+   p_ind = 0): its dormant-disable charge with leakage is checked in
+   test_partition. *)
 
 let leakage_procs =
   let ideal ~p_ind ~coeff ~alpha ~s_min dormancy =
