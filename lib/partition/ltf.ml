@@ -5,7 +5,8 @@ module Fc = Rt_prelude.Float_cmp
    tolerant capacity test runs only on a new minimum — and not at all
    under an unbounded [cap], where it always holds for finite weights.
    Loads and weights are read in place rather than passed, and the
-   comparison is [Float.compare], so the scan boxes no float. *)
+   comparison is [Float.compare], so the only float the scan boxes is
+   the sum handed to the tolerant test, once per new minimum. *)
 let rec feasible_scan loads m ~bounded cap weights i j best_j =
   if j >= m then best_j
   else

@@ -28,8 +28,10 @@ val least_loaded :
 (** The placement probe {!pack} runs for each position, on loads the
     caller keeps: the least-loaded processor [j] (lowest index on ties)
     whose [loads.(j) +. weights.(i)] stays within [cap] (tolerant), or
-    [-1] if none does. Reads [loads] without changing it; boxes no
-    float. *)
+    [-1] if none does. Reads [loads] without changing it. It allocates
+    nothing under [cap = infinity]; under a finite [cap], only the sum
+    the tolerant capacity test receives, once per new running minimum
+    (two words each). *)
 
 val always : float array -> int -> int -> bool
 (** The veto that never vetoes. *)
